@@ -6,7 +6,7 @@ config file's directory.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -16,16 +16,10 @@ from .variants import DEFAULT_PAUSE_GAP_S, VARIANTS
 
 SCHEMA_VERSION = 1
 
-_FEATURE_KEYS = (
-    "sample_rate", "frame_length_s", "frame_shift_s", "preemphasis", "n_mels",
-    "fmin", "fmax", "log_floor", "append_energy", "deltas", "cmvn",
-)
+_FEATURE_KEYS = tuple(f.name for f in fields(FeatureConfig))
 _MODEL_KEYS = ("num_layers", "hidden_units")
-_TRAIN_KEYS = (
-    "batch_size", "learning_rate", "beta1", "beta2", "epsilon", "max_epochs",
-    "patience", "grad_clip_norm", "split_train", "split_dev", "split_test",
-    "weight_decay",
-)
+# the seed is a top-level key, shared by the split and the training run
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 _TOP_KEYS = (
     "schema_version", "name", "corpus", "variant", "g2p_rules", "alignments",
     "pause_gap_threshold", "out_dir", "seed", "features", "model", "train",

@@ -11,43 +11,9 @@ from dataclasses import dataclass, field
 from .errors import DataError
 
 
-def edit_distance(ref, hyp) -> int:
-    """Levenshtein distance with unit substitution/insertion/deletion costs."""
-    ref, hyp = list(ref), list(hyp)
-    if not ref:
-        return len(hyp)
-    if not hyp:
-        return len(ref)
-    previous = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, start=1):
-        current = [i] + [0] * len(hyp)
-        for j, h in enumerate(hyp, start=1):
-            current[j] = min(
-                previous[j - 1] + (r != h),
-                previous[j] + 1,
-                current[j - 1] + 1,
-            )
-        previous = current
-    return previous[-1]
-
-
-def corpus_ler(pairs, ids=None) -> float:
-    """Micro-averaged label error rate over (ref, hyp) sequence pairs."""
-    if not pairs:
-        raise DataError("cannot compute LER of an empty pair list")
-    total_distance = 0
-    total_length = 0
-    for index, (ref, hyp) in enumerate(pairs):
-        if len(ref) == 0:
-            name = ids[index] if ids is not None else f"#{index}"
-            raise DataError(f"utterance {name} has an empty reference")
-        total_distance += edit_distance(ref, hyp)
-        total_length += len(ref)
-    return total_distance / total_length
-
-
-def align_and_count_confusions(ref, hyp) -> Counter:
-    """Counts over one minimal-cost alignment.
+def _align(ref, hyp):
+    """Levenshtein distance (unit costs) and the label counts over one
+    minimal-cost alignment.
 
     Keys are (ref_label, hyp_label) for substitutions and matches,
     (ref_label, None) for deletions, (None, hyp_label) for insertions.
@@ -80,7 +46,32 @@ def align_and_count_confusions(ref, hyp) -> Counter:
         else:
             counts[(None, hyp[j - 1])] += 1
             j -= 1
-    return counts
+    return dp[m][n], counts
+
+
+def edit_distance(ref, hyp) -> int:
+    """Levenshtein distance with unit substitution/insertion/deletion costs."""
+    return _align(ref, hyp)[0]
+
+
+def align_and_count_confusions(ref, hyp) -> Counter:
+    """Counts over one minimal-cost alignment; see _align for the keys."""
+    return _align(ref, hyp)[1]
+
+
+def corpus_ler(pairs, ids=None) -> float:
+    """Micro-averaged label error rate over (ref, hyp) sequence pairs."""
+    if not pairs:
+        raise DataError("cannot compute LER of an empty pair list")
+    total_distance = 0
+    total_length = 0
+    for index, (ref, hyp) in enumerate(pairs):
+        if len(ref) == 0:
+            name = ids[index] if ids is not None else f"#{index}"
+            raise DataError(f"utterance {name} has an empty reference")
+        total_distance += edit_distance(ref, hyp)
+        total_length += len(ref)
+    return total_distance / total_length
 
 
 @dataclass
@@ -95,22 +86,25 @@ class EvaluationReport:
 
 def build_report(entries, decoder: str) -> EvaluationReport:
     """Assemble a report from (utterance_id, ref_units, hyp_units, hyp_text)."""
-    pairs = [(ref, hyp) for _, ref, hyp, _ in entries]
-    ids = [utt_id for utt_id, _, _, _ in entries]
-    ler = corpus_ler(pairs, ids)
-
+    if not entries:
+        raise DataError("cannot compute LER of an empty pair list")
     utterances = []
     confusions = Counter()
+    total_distance = total_length = 0
     macro_sum = 0.0
     for utt_id, ref, hyp, hyp_text in entries:
-        distance = edit_distance(ref, hyp)
+        if len(ref) == 0:
+            raise DataError(f"utterance {utt_id} has an empty reference")
+        distance, counts = _align(ref, hyp)
+        total_distance += distance
+        total_length += len(ref)
         macro_sum += distance / len(ref)
         utterances.append(
             {"id": utt_id, "distance": distance, "ref_len": len(ref), "hyp": hyp_text}
         )
-        confusions.update(align_and_count_confusions(ref, hyp))
+        confusions.update(counts)
     return EvaluationReport(
-        ler=ler,
+        ler=total_distance / total_length,
         ler_macro=macro_sum / len(entries),
         n_utterances=len(entries),
         decoder=decoder,

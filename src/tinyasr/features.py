@@ -5,17 +5,15 @@ filterbank energies plus frame energy, log compression, delta and
 delta-delta appendage, per-utterance mean/variance normalization.
 """
 
-import json
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer
 from .errors import ConfigError, DataError
+from .model import read_tensor_container, write_tensor_container
 
 FEATURE_MAGIC = b"TASRFEAT"
-FEATURE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -51,21 +49,6 @@ class FeatureConfig:
     def dims(self) -> int:
         base = self.n_mels + (1 if self.append_energy else 0)
         return base * 3 if self.deltas else base
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "frame_length_s": self.frame_length_s,
-            "frame_shift_s": self.frame_shift_s,
-            "preemphasis": self.preemphasis,
-            "n_mels": self.n_mels,
-            "fmin": self.fmin,
-            "fmax": self.fmax,
-            "log_floor": self.log_floor,
-            "append_energy": self.append_energy,
-            "deltas": self.deltas,
-            "cmvn": self.cmvn,
-        }
 
 
 @dataclass
@@ -209,33 +192,21 @@ def extract_features(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()
     return matrix
 
 
-def save_features(path, matrix: FeatureMatrix) -> None:
-    """Cache format: magic, version, header json, row-major float32 LE."""
-    header = json.dumps(
-        {
-            "T": matrix.num_frames,
-            "D": matrix.dims,
-            "frame_shift_s": matrix.frame_shift_s,
-            "frame_length_s": matrix.frame_length_s,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", FEATURE_VERSION, len(header)))
-        fh.write(header)
-        fh.write(matrix.frames.astype("<f4").tobytes())
+def save_features(path, matrix: FeatureMatrix, config: FeatureConfig) -> None:
+    """Cache one utterance's features (float64) with the config that
+    extracted them."""
+    header = {
+        "frame_shift_s": matrix.frame_shift_s,
+        "frame_length_s": matrix.frame_length_s,
+        "feature_config": asdict(config),
+    }
+    write_tensor_container(path, FEATURE_MAGIC, header, {"frames": matrix.frames})
 
 
-def load_features(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != FEATURE_MAGIC:
-            raise DataError(f"{path}: not a feature cache file")
-        version, header_len = struct.unpack("<II", fh.read(8))
-        if version != FEATURE_VERSION:
-            raise DataError(f"{path}: unsupported feature cache version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        data = np.frombuffer(fh.read(), dtype="<f4").astype(np.float64)
-    frames = data.reshape(header["T"], header["D"])
-    return FeatureMatrix(frames, header["frame_shift_s"], header["frame_length_s"])
+def load_features(path, config: FeatureConfig) -> FeatureMatrix | None:
+    """Read a cached entry; None if it was extracted under another config,
+    so the caller re-extracts it."""
+    header, tensors = read_tensor_container(path, FEATURE_MAGIC)
+    if header["feature_config"] != asdict(config):
+        return None
+    return FeatureMatrix(tensors["frames"], header["frame_shift_s"], header["frame_length_s"])

@@ -9,10 +9,11 @@ frames, in either pass.
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import ctc
 from .errors import ConfigError, DataError
 
 DIRECTIONS = ("fwd", "bwd")
@@ -36,14 +37,6 @@ class ModelConfig:
     @property
     def output_dim(self) -> int:
         return self.vocab_size + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "vocab_size": self.vocab_size,
-            "num_layers": self.num_layers,
-            "hidden_units": self.hidden_units,
-        }
 
 
 class ModelParameters:
@@ -204,6 +197,20 @@ def forward(params: ModelParameters, features):
     return logits_list[0], cache
 
 
+def decode(params: ModelParameters, features, beam_width=None):
+    """Forward one utterance, then greedy decoding, or prefix beam search
+    when beam_width is set. The only inference path: dev LER, evaluate
+    and transcribe all decode through it.
+
+    Deliberately one utterance at a time: a padded batch changes the
+    logits' rounding, and at one BLAS thread a B-row recurrent step costs
+    about as much as B one-row steps."""
+    logits, _ = forward(params, features)
+    if beam_width is None:
+        return ctc.greedy_decode(logits)
+    return ctc.beam_decode(logits, beam_width)
+
+
 def _direction_backward(params, prefix, cache, d_out, lengths, reverse, grads):
     W, R = params[f"{prefix}.W"], params[f"{prefix}.R"]
     B, T, H = cache.h.shape
@@ -306,6 +313,8 @@ def read_tensor_container(path, magic: bytes):
         if version != CONTAINER_VERSION:
             raise DataError(f"{path}: unsupported container version {version}")
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        if "tensors" not in header:
+            raise DataError(f"{path}: container header lists no tensors")
         tensors = {}
         for entry in header.pop("tensors"):
             shape = tuple(entry["shape"])
@@ -316,7 +325,7 @@ def read_tensor_container(path, magic: bytes):
 
 
 def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
-    header = {"config": params.config.to_dict(), "vocabulary": list(vocabulary)}
+    header = {"config": asdict(params.config), "vocabulary": list(vocabulary)}
     write_tensor_container(path, CHECKPOINT_MAGIC, header, params.tensors)
 
 

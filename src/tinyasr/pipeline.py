@@ -10,17 +10,16 @@ import json
 import os
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import ctc
 from .audio import read_wav, slice_audio
 from .config import ExperimentConfig
 from .corpus import read_manifest, write_manifest
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import build_report, confusion_report, report_to_json
 from .features import FeatureConfig, extract_features, load_features, save_features
-from .model import ModelConfig, forward_batch, load_checkpoint
+from .model import ModelConfig, decode, load_checkpoint
 from .training import TrainItem, rng_for, split_corpus, train
 from .variants import (
     G2PRuleSet,
@@ -102,16 +101,20 @@ def build_items(records, unit_map, vocab, audio_root, feature_config,
     items = []
     for record in records:
         cache_path = None if cache_dir is None else cache_dir / f"{record.id}.feat"
+        matrix = None
         if cache_path is not None and cache_path.exists():
-            matrix = load_features(cache_path)
-        else:
+            try:
+                matrix = load_features(cache_path, feature_config)
+            except DataError:
+                pass  # unreadable, e.g. an older cache format: re-extract it
+        if matrix is None:
             if record.audio not in buffers:
                 buffers[record.audio] = read_wav(audio_root / record.audio)
             session = buffers[record.audio]
             clip = slice_audio(session, record.start_s, record.end_s)
             matrix = extract_features(clip, feature_config)
             if cache_path is not None:
-                save_features(cache_path, matrix)
+                save_features(cache_path, matrix, feature_config)
         target = vocab.encode(unit_map[record.id], record.id)
         items.append(TrainItem(id=record.id, features=matrix.frames, target=target))
     return items
@@ -120,19 +123,17 @@ def build_items(records, unit_map, vocab, audio_root, feature_config,
 def _decode_items(params, items, vocab, decoder="greedy", beam_width=8):
     entries = []
     for item in items:
-        logits_list, _ = forward_batch(params, [item.features])
-        if decoder == "beam":
-            decoded = ctc.beam_decode(logits_list[0], beam_width)
-        else:
-            decoded = ctc.greedy_decode(logits_list[0])
+        decoded = decode(params, item.features, beam_width if decoder == "beam" else None)
         ref_units = tuple(vocab.labels[i] for i in item.target)
         hyp_units = tuple(vocab.labels[i] for i in decoded.labels)
         entries.append((item.id, ref_units, hyp_units, vocab.decode(decoded.labels)))
     return entries
 
 
-def _train_minutes(records) -> float:
-    return sum(r.duration for r in records) / 60.0
+def _read_corpus(config: ExperimentConfig) -> list:
+    if config.corpus is None or not Path(config.corpus).exists():
+        raise DataError(f"prepared corpus manifest not found: {config.corpus}")
+    return read_manifest(config.corpus)
 
 
 def _append_results(out_dir: Path, row: ResultsRow) -> None:
@@ -157,9 +158,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
     run_dir = Path(run_dir) if run_dir is not None else config.out_dir / experiment_id
 
     with _stage("data"):
-        if config.corpus is None or not Path(config.corpus).exists():
-            raise DataError(f"prepared corpus manifest not found: {config.corpus}")
-        records = read_manifest(config.corpus)
+        records = _read_corpus(config)
         audio_root = Path(config.corpus).resolve().parent
         g2p, alignments = _load_variant_inputs(config.variant, config.g2p_rules,
                                                config.alignments)
@@ -204,9 +203,9 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "decoder": "greedy",
         "audio_root": str(audio_root),
         "pause_gap_threshold": config.pause_gap_threshold,
-        "feature_config": config.features.to_dict(),
-        "model": model_config.to_dict(),
-        "train": config.train.to_dict(),
+        "feature_config": asdict(config.features),
+        "model": asdict(model_config),
+        "train": asdict(config.train),
         "splits": {
             "train": [r.id for r in train_records],
             "dev": [r.id for r in dev_records],
@@ -260,6 +259,12 @@ def _evaluate_split(run_dir, run_info, split, decoder=None, beam_width=8):
         raise ConfigError(f"unknown split '{split}' (expected train, dev, or test)")
     records = {r.id: r for r in read_manifest(run_dir / "manifest.jsonl")}
     split_ids = run_info["splits"][split]
+    missing = [i for i in split_ids if i not in records]
+    if missing:
+        raise DataError(
+            f"run manifest lacks {len(missing)} utterance(s) of split '{split}': "
+            f"{missing[:5]}"
+        )
     split_records = [records[i] for i in split_ids]
     if not split_records:
         raise DataError(f"split '{split}' is empty")
@@ -311,7 +316,7 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
     sizes = [int(s) for s in sizes]
     if not sizes or sizes != sorted(sizes):
         raise ConfigError(f"sweep sizes must be ascending, got {sizes}")
-    records = read_manifest(config.corpus)
+    records = _read_corpus(config)
     ratios = (config.train.split_train, config.train.split_dev, config.train.split_test)
     train_records, _, _ = split_corpus(records, ratios, config.seed)
     if sizes[-1] > len(train_records):
@@ -357,11 +362,7 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
                 raise DataError(f"file not found: {wav_path}")
             audio = read_wav(wav_path)
             matrix = extract_features(audio, feature_config)
-            logits_list, _ = forward_batch(params, [matrix.frames])
-            if beam_width:
-                decoded = ctc.beam_decode(logits_list[0], beam_width)
-            else:
-                decoded = ctc.greedy_decode(logits_list[0])
+            decoded = decode(params, matrix, beam_width or None)
             text = vocab.decode(decoded.labels)
             wav_path.with_suffix(".txt").write_text(text + "\n", encoding="utf-8")
             outputs.append((str(wav_path), text, None))

@@ -20,6 +20,7 @@ from .evaluation import corpus_ler
 from .model import (
     ModelParameters,
     backward_batch,
+    decode,
     forward_batch,
     init_parameters,
     read_tensor_container,
@@ -63,23 +64,6 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.learning_rate < 0 or self.seed < 0:
             raise ConfigError("learning_rate and seed must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "grad_clip_norm": self.grad_clip_norm,
-            "seed": self.seed,
-            "split_train": self.split_train,
-            "split_dev": self.split_dev,
-            "split_test": self.split_test,
-            "weight_decay": self.weight_decay,
-        }
 
 
 def split_corpus(records, ratios, seed):
@@ -188,11 +172,7 @@ class TrainResult:
 
 
 def dev_label_error_rate(params, items) -> float:
-    pairs = []
-    for item in items:
-        logits, _ = forward_batch(params, [item.features])
-        decoded = ctc.greedy_decode(logits[0])
-        pairs.append((item.target, decoded.labels))
+    pairs = [(item.target, decode(params, item.features).labels) for item in items]
     return corpus_ler(pairs, [item.id for item in items])
 
 

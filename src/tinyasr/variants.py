@@ -91,18 +91,6 @@ def build_vocabulary(unit_lists) -> LabelVocabulary:
     return LabelVocabulary(labels=(BLANK, *units))
 
 
-@dataclass
-class LabelSequence:
-    utterance_id: str
-    indices: list
-
-
-def encode_with_spaces(transcript: str, vocab: LabelVocabulary, utterance_id="<unknown>"):
-    """Encode per grapheme cluster, spaces included as labels."""
-    units = graphemes(transcript)
-    return LabelSequence(utterance_id, vocab.encode(units, utterance_id))
-
-
 class G2PRuleSet:
     """Ordered grapheme-to-phoneme rewrite rules.
 
@@ -160,12 +148,6 @@ class G2PRuleSet:
                         f"at position {pos}"
                     )
         return labels
-
-
-def apply_g2p(transcript: str, rules: G2PRuleSet, vocab: LabelVocabulary,
-              utterance_id="<unknown>"):
-    return LabelSequence(utterance_id, vocab.encode(rules.apply(transcript, utterance_id),
-                                                    utterance_id))
 
 
 @dataclass

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -107,6 +110,16 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert main(["train", "--config", str(path)]) == 2
 
+    def test_sweep_missing_corpus_exits_2(self, tmp_path, capsys):
+        config = {"schema_version": 1, "name": "x", "corpus": "missing.jsonl",
+                  "variant": "orig-no-spaces"}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--sizes", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "missing.jsonl" in err
+        assert "Traceback" not in err
+
     def test_prepare_missing_dir_exits_2(self, tmp_path):
         assert main(["prepare", str(tmp_path / "nowhere"), "--out",
                      str(tmp_path / "out")]) == 2
@@ -173,6 +186,29 @@ class TestTrainedRun:
         assert row.ler == recorded["ler"]
         assert row.utterances == recorded["utterances"]
         assert row.minutes == pytest.approx(recorded["minutes"])
+
+    def test_evaluate_dev_reproduces_training_dev_ler(self, trained_run, capsys):
+        # training's dev LER and evaluate share one decode path
+        run = trained_run["run"]
+        assert main(["evaluate", "--run", str(run), "--split", "dev"]) == 0
+        capsys.readouterr()
+        info = json.loads((run / "run.json").read_text())
+        report = json.loads((run / "report-dev.json").read_text())
+        assert report["ler"] == info["results"]["best_dev_ler"]
+
+    def test_evaluate_split_id_missing_from_manifest_exits_2(self, trained_run,
+                                                             tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        dropped = json.loads((run / "run.json").read_text())["splits"]["test"][0]
+        lines = (run / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if json.loads(line)["id"] != dropped]
+        assert len(kept) == len(lines) - 1
+        (run / "manifest.jsonl").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--run", str(run), "--split", "test"]) == 2
+        err = capsys.readouterr().err
+        assert dropped in err
+        assert "Traceback" not in err
 
     def test_evaluate_command_exit_zero(self, trained_run, capsys):
         assert main(["evaluate", "--run", str(trained_run["run"]),
@@ -292,6 +328,40 @@ class TestTrainedRun:
         assert main(["train", "--config", str(path), "--feature-cache"]) == 0
         cached = list((tmp_path / "runs" / "cached" / "features").glob("*.feat"))
         assert len(cached) == 90  # train + dev utterances of the 100-utt corpus
+
+    def test_feature_cache_reproduces_uncached_checkpoint(self, tone_corpus, tmp_path):
+        config = {
+            "schema_version": 1,
+            "name": "honest",
+            "corpus": str(tone_corpus["manifest"]),
+            "variant": "orig-no-spaces",
+            "out_dir": str(tmp_path / "runs"),
+            "seed": 6,
+            "train": {"max_epochs": 1, "patience": 1, "batch_size": 16},
+        }
+        path = tmp_path / "honest.json"
+        path.write_text(json.dumps(config))
+
+        def train_sha(run_dir, *flags):
+            argv = ["train", "--config", str(path), "--fast", "--run-dir", str(run_dir)]
+            assert main(argv + list(flags)) == 0
+            return hashlib.sha256((run_dir / "checkpoint.bin").read_bytes()).hexdigest()
+
+        cached_run = tmp_path / "cached"
+        cold = train_sha(cached_run, "--feature-cache")
+        warm = train_sha(cached_run, "--feature-cache")
+        uncached = train_sha(tmp_path / "uncached")
+        assert cold == warm == uncached
+
+        # an entry in the older float32 layout (magic, version, header
+        # without a tensor list, raw float32) is re-extracted, not reused
+        entry = sorted((cached_run / "features").glob("*.feat"))[0]
+        header = json.dumps({"T": 2, "D": 1, "frame_shift_s": 0.01,
+                             "frame_length_s": 0.025}).encode()
+        entry.write_bytes(b"TASRFEAT" + struct.pack("<II", 1, len(header)) + header
+                          + np.zeros(2, dtype="<f4").tobytes())
+        assert train_sha(cached_run, "--feature-cache") == uncached
+        assert entry.stat().st_size > 1000
 
 
 class TestSubSeeds:

@@ -195,11 +195,23 @@ class TestExtraction:
     def test_cache_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         buf = AudioBuffer(rng.uniform(-0.3, 0.3, size=16000), 16000)
-        matrix = extract_features(buf, FeatureConfig())
+        config = FeatureConfig()
+        matrix = extract_features(buf, config)
         path = tmp_path / "u.feat"
-        save_features(path, matrix)
-        back = load_features(path)
+        save_features(path, matrix, config)
+        back = load_features(path, config)
         assert back.frames.shape == matrix.frames.shape
         assert back.frame_shift_s == matrix.frame_shift_s
-        # cache stores float32
-        assert np.abs(back.frames - matrix.frames).max() < 1e-5
+        # cache stores float64, so a warm read is bit-identical
+        assert np.abs(back.frames - matrix.frames).max() == 0.0
+        assert back.frames.tobytes() == matrix.frames.tobytes()
+
+    def test_cache_entry_of_other_config_is_stale(self, tmp_path):
+        rng = np.random.default_rng(11)
+        buf = AudioBuffer(rng.uniform(-0.3, 0.3, size=8000), 16000)
+        config = FeatureConfig()
+        path = tmp_path / "u.feat"
+        save_features(path, extract_features(buf, config), config)
+        assert load_features(path, config) is not None
+        assert load_features(path, FeatureConfig(n_mels=20)) is None
+        assert load_features(path, FeatureConfig(fmax=7000.0)) is None

@@ -10,9 +10,7 @@ from tinyasr.variants import (
     G2PRuleSet,
     LabelVocabulary,
     WordAlignment,
-    apply_g2p,
     build_vocabulary,
-    encode_with_spaces,
     graphemes,
     load_alignments,
     pause_boundaries,
@@ -56,17 +54,17 @@ class TestVocabulary:
 
     def test_encode_decode_round_trip(self):
         vocab = build_vocabulary([list("ab "), ])
-        seq = encode_with_spaces("ab a", vocab, "u1")
-        assert vocab.decode(seq.indices) == "ab a"
+        indices = vocab.encode(graphemes("ab a"), "u1")
+        assert vocab.decode(indices) == "ab a"
 
     def test_oov_names_unit_and_utterance(self):
         vocab = build_vocabulary([list("ab ")])
         with pytest.raises(DataError, match=r"u7.*'x'"):
-            encode_with_spaces("ab x", vocab, "u7")
+            vocab.encode(graphemes("ab x"), "u7")
 
     def test_empty_transcript_empty_sequence(self):
         vocab = build_vocabulary([list("ab")])
-        assert encode_with_spaces("", vocab).indices == []
+        assert vocab.encode(graphemes("")) == []
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError):
@@ -76,8 +74,8 @@ class TestVocabulary:
     @given(st.text(alphabet="ab c", max_size=20))
     def test_round_trip_property(self, text):
         vocab = build_vocabulary([list("abc "), ])
-        seq = encode_with_spaces(text, vocab, "u")
-        assert vocab.decode(seq.indices) == text
+        indices = vocab.encode(graphemes(text), "u")
+        assert vocab.decode(indices) == text
 
 
 class TestG2P:
@@ -116,9 +114,11 @@ class TestG2P:
     def test_apply_g2p_encodes_against_vocabulary(self):
         rules = G2PRuleSet([("ī", "iː"), ("m", "m")])
         vocab = build_vocabulary([["m", "iː"]])
-        seq = apply_g2p("mī", rules, vocab, "u1")
-        assert seq.utterance_id == "u1"
-        assert [vocab.labels[i] for i in seq.indices] == ["m", "iː"]
+        indices = vocab.encode(rules.apply("mī", "u1"), "u1")
+        assert [vocab.labels[i] for i in indices] == ["m", "iː"]
+        # the utterance id travels with the labels into every error
+        with pytest.raises(DataError, match="u1"):
+            vocab.encode(rules.apply("mī", "u1") + ["x"], "u1")
 
 
 class TestPauseBoundaries:
