@@ -47,8 +47,7 @@ def _cmd_prepare(args) -> int:
 def _cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     run_dir = Path(args.run_dir) if args.run_dir else None
-    row = run_experiment(config, fast=args.fast, run_dir=run_dir,
-                         feature_cache=args.feature_cache)
+    row = run_experiment(config, fast=args.fast, run_dir=run_dir)
     print(emit_results_table([row]), end="")
     return 0
 
@@ -93,7 +92,7 @@ def _cmd_error_report(args) -> int:
         raise DataError(
             f"no report for split '{args.split}' in {args.run} (run evaluate first)"
         )
-    report = report_from_json(report_path.read_text(encoding="utf-8"))
+    report = report_from_json(report_path.read_bytes())
     print(confusion_report(report, args.top_k), end="")
     return 0
 
@@ -116,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use a reduced 2-layer, 64-unit model")
     p.add_argument("--run-dir", default=None,
                    help="override the run directory (default: out_dir/name)")
-    p.add_argument("--feature-cache", action="store_true",
-                   help="cache features on disk inside the run directory")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="re-evaluate a finished run")

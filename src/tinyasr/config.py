@@ -8,6 +8,7 @@ config file's directory.
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args
 
 from .errors import ConfigError
 from .features import FeatureConfig
@@ -16,21 +17,30 @@ from .variants import DEFAULT_PAUSE_GAP_S, VARIANTS
 
 SCHEMA_VERSION = 1
 
-_FEATURE_KEYS = tuple(f.name for f in fields(FeatureConfig))
-_MODEL_KEYS = ("num_layers", "hidden_units")
-# the seed is a top-level key, shared by the split and the training run
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
-_TOP_KEYS = (
-    "schema_version", "name", "corpus", "variant", "g2p_rules", "alignments",
-    "pause_gap_threshold", "out_dir", "seed", "features", "model", "train",
-    "subset_sizes",
-)
+# the value types of each section; the seed is a top-level key, shared by
+# the split and the training run
+_TOP_TYPES = {
+    "schema_version": int, "name": str, "corpus": str, "variant": str,
+    "g2p_rules": str | None, "alignments": str | None, "pause_gap_threshold": float,
+    "out_dir": str, "seed": int, "features": dict, "model": dict, "train": dict,
+    "subset_sizes": list,
+}
+_FEATURE_TYPES = {f.name: f.type for f in fields(FeatureConfig)}
+_MODEL_TYPES = {"num_layers": int, "hidden_units": int}
+_TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    for key in section:
-        if key not in allowed:
+def _checked(section: dict, types: dict, where: str) -> dict:
+    """Unknown keys and ill-typed values are errors. A JSON integer is a
+    valid float; a boolean is no number."""
+    for key, value in section.items():
+        if key not in types:
             raise ConfigError(f"unknown config key '{key}' in {where}")
+        kinds = get_args(types[key]) or (types[key],)
+        kinds += (int,) if float in kinds else ()
+        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+            raise ConfigError(f"ill-typed config key '{key}' in {where}: {value!r}")
+    return section
 
 
 @dataclass
@@ -60,7 +70,7 @@ class ExperimentConfig:
         if self.variant == "ipa-pause-boundaries" and self.alignments is None:
             raise ConfigError("variant 'ipa-pause-boundaries' requires alignments")
         sizes = list(self.subset_sizes)
-        if sizes != sorted(sizes) or any(s < 1 for s in sizes):
+        if any(type(s) is not int or s < 1 for s in sizes) or sizes != sorted(sizes):
             raise ConfigError("subset_sizes must be ascending positive counts")
 
 
@@ -78,7 +88,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
-    _check_keys(raw, _TOP_KEYS, "experiment config")
+    _checked(raw, _TOP_TYPES, "experiment config")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
@@ -93,31 +103,23 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
             return None
         return (Path(base_dir) / value).resolve()
 
-    features_raw = raw.get("features", {})
-    _check_keys(features_raw, _FEATURE_KEYS, "features section")
-    model_raw = raw.get("model", {})
-    _check_keys(model_raw, _MODEL_KEYS, "model section")
-    train_raw = raw.get("train", {})
-    _check_keys(train_raw, _TRAIN_KEYS, "train section")
+    def section(name, types):
+        return _checked(raw.get(name, {}), types, f"{name} section")
 
-    try:
-        features = FeatureConfig(**features_raw)
-        train = TrainConfig(seed=int(raw.get("seed", 0)), **train_raw)
-    except TypeError as exc:
-        raise ConfigError(f"invalid config section: {exc}") from exc
-
+    model = section("model", _MODEL_TYPES)
+    seed = raw.get("seed", 0)
     return ExperimentConfig(
-        name=str(raw["name"]),
+        name=raw["name"],
         corpus=path_of("corpus"),
-        variant=str(raw["variant"]),
-        seed=int(raw.get("seed", 0)),
+        variant=raw["variant"],
+        seed=seed,
         g2p_rules=path_of("g2p_rules"),
         alignments=path_of("alignments"),
         pause_gap_threshold=float(raw.get("pause_gap_threshold", DEFAULT_PAUSE_GAP_S)),
         out_dir=path_of("out_dir", "runs"),
-        features=features,
-        model_layers=int(model_raw.get("num_layers", 3)),
-        model_hidden=int(model_raw.get("hidden_units", 250)),
-        train=train,
-        subset_sizes=[int(s) for s in raw.get("subset_sizes", [])],
+        features=FeatureConfig(**section("features", _FEATURE_TYPES)),
+        model_layers=model.get("num_layers", 3),
+        model_hidden=model.get("hidden_units", 250),
+        train=TrainConfig(seed=seed, **section("train", _TRAIN_TYPES)),
+        subset_sizes=raw.get("subset_sizes", []),
     )

@@ -242,6 +242,8 @@ def parse_manifest(path) -> list:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path.name} line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(row, dict):
+                raise DataError(f"{path.name} line {lineno}: expected a JSON object")
             for key in _MANIFEST_KEYS:
                 if key not in row:
                     raise DataError(f"{path.name} line {lineno}: missing key '{key}'")

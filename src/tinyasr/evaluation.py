@@ -135,19 +135,23 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
-def report_from_json(text: str) -> EvaluationReport:
-    payload = json.loads(text)
-    confusions = Counter(
-        {(c["ref"], c["hyp"]): c["count"] for c in payload["confusions"]}
-    )
-    return EvaluationReport(
-        ler=payload["ler"],
-        ler_macro=payload["ler_macro"],
-        n_utterances=payload["n_utterances"],
-        decoder=payload["decoder"],
-        utterances=payload["pairs"],
-        confusions=confusions,
-    )
+def report_from_json(text: str | bytes) -> EvaluationReport:
+    """Inverse of report_to_json; a garbled or incomplete report is a DataError."""
+    try:
+        payload = json.loads(text)
+        confusions = Counter(
+            {(c["ref"], c["hyp"]): c["count"] for c in payload["confusions"]}
+        )
+        return EvaluationReport(
+            ler=payload["ler"],
+            ler_macro=payload["ler_macro"],
+            n_utterances=payload["n_utterances"],
+            decoder=payload["decoder"],
+            utterances=payload["pairs"],
+            confusions=confusions,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"unreadable evaluation report: {exc!r}") from exc
 
 
 def confusion_report(report: EvaluationReport, top_k: int) -> str:

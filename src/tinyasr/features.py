@@ -5,15 +5,12 @@ filterbank energies plus frame energy, log compression, delta and
 delta-delta appendage, per-utterance mean/variance normalization.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer
 from .errors import ConfigError, DataError
-from .model import read_tensor_container, write_tensor_container
-
-FEATURE_MAGIC = b"TASRFEAT"
 
 
 @dataclass(frozen=True)
@@ -96,12 +93,12 @@ def frame_signal(samples: np.ndarray, frame_length: int, frame_shift: int) -> np
     return samples[idx]
 
 
-def power_spectrum(frame: np.ndarray, nfft: int) -> np.ndarray:
-    """|DFT(zero-padded frame)|^2 for bins 0 .. nfft/2, unscaled."""
-    if nfft < len(frame) or nfft & (nfft - 1):
+def power_spectrum(frames: np.ndarray, nfft: int) -> np.ndarray:
+    """|DFT(zero-padded frame)|^2 for bins 0 .. nfft/2, unscaled, of one
+    frame or of each row of a frame matrix."""
+    if nfft < frames.shape[-1] or nfft & (nfft - 1):
         raise ConfigError(f"nfft {nfft} must be a power of two >= frame length")
-    spectrum = np.fft.rfft(frame, n=nfft)
-    return np.abs(spectrum) ** 2
+    return np.abs(np.fft.rfft(frames, n=nfft)) ** 2
 
 
 def hz_to_mel(f):
@@ -135,8 +132,9 @@ def build_mel_filterbank(n_mels: int, nfft: int, sample_rate: int,
 
 def mel_filterbank(spectrum: np.ndarray, bank: np.ndarray, take_log: bool = True,
                    log_floor: float = 1e-10) -> np.ndarray:
-    """Filterbank energies of one power spectrum, floored before the log."""
-    energies = bank @ spectrum
+    """Filterbank energies of one power spectrum, or of each row of a
+    spectrum matrix, floored before the log."""
+    energies = spectrum @ bank.T
     if take_log:
         energies = np.log(np.maximum(energies, log_floor))
     return energies
@@ -177,10 +175,10 @@ def extract_features(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()
     emphasized = preemphasize(audio, config.preemphasis)
     frames = frame_signal(emphasized.samples, config.frame_length, config.frame_shift)
     windowed = frames * np.hamming(config.frame_length)
-    spectra = np.abs(np.fft.rfft(windowed, n=config.nfft, axis=1)) ** 2
+    spectra = power_spectrum(windowed, config.nfft)
     bank = build_mel_filterbank(config.n_mels, config.nfft, config.sample_rate,
                                 config.fmin, config.fmax)
-    feats = np.log(np.maximum(spectra @ bank.T, config.log_floor))
+    feats = mel_filterbank(spectra, bank, log_floor=config.log_floor)
     if config.append_energy:
         energy = np.log(np.maximum(spectra.sum(axis=1), config.log_floor))
         feats = np.concatenate([feats, energy[:, None]], axis=1)
@@ -190,23 +188,3 @@ def extract_features(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()
     if config.cmvn:
         matrix = normalize_cmvn(matrix)
     return matrix
-
-
-def save_features(path, matrix: FeatureMatrix, config: FeatureConfig) -> None:
-    """Cache one utterance's features (float64) with the config that
-    extracted them."""
-    header = {
-        "frame_shift_s": matrix.frame_shift_s,
-        "frame_length_s": matrix.frame_length_s,
-        "feature_config": asdict(config),
-    }
-    write_tensor_container(path, FEATURE_MAGIC, header, {"frames": matrix.frames})
-
-
-def load_features(path, config: FeatureConfig) -> FeatureMatrix | None:
-    """Read a cached entry; None if it was extracted under another config,
-    so the caller re-extracts it."""
-    header, tensors = read_tensor_container(path, FEATURE_MAGIC)
-    if header["feature_config"] != asdict(config):
-        return None
-    return FeatureMatrix(tensors["frames"], header["frame_shift_s"], header["frame_length_s"])

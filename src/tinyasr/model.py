@@ -306,21 +306,27 @@ def write_tensor_container(path, magic: bytes, header: dict, tensors: dict) -> N
 
 
 def read_tensor_container(path, magic: bytes):
-    with open(path, "rb") as fh:
-        if fh.read(8) != magic:
-            raise DataError(f"{path}: wrong file magic")
-        version, header_len = struct.unpack("<II", fh.read(8))
-        if version != CONTAINER_VERSION:
-            raise DataError(f"{path}: unsupported container version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if "tensors" not in header:
-            raise DataError(f"{path}: container header lists no tensors")
-        tensors = {}
-        for entry in header.pop("tensors"):
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            tensors[entry["name"]] = data.reshape(shape).copy()
+    """A missing, truncated or garbled container is a DataError."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(8) != magic:
+                raise DataError(f"{path}: wrong file magic")
+            version, header_len = struct.unpack("<II", fh.read(8))
+            if version != CONTAINER_VERSION:
+                raise DataError(f"{path}: unsupported container version {version}")
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            if "tensors" not in header:
+                raise DataError(f"{path}: container header lists no tensors")
+            tensors = {}
+            for entry in header.pop("tensors"):
+                shape = tuple(entry["shape"])
+                count = int(np.prod(shape)) if shape else 1
+                data = np.frombuffer(fh.read(count * 8), dtype="<f8")
+                tensors[entry["name"]] = data.reshape(shape).copy()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (struct.error, ValueError) as exc:
+        raise DataError(f"{path}: truncated or garbled ({exc})") from exc
     return header, tensors
 
 

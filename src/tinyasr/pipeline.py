@@ -10,7 +10,7 @@ import json
 import os
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio import read_wav, slice_audio
@@ -18,7 +18,7 @@ from .config import ExperimentConfig
 from .corpus import read_manifest, write_manifest
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import build_report, confusion_report, report_to_json
-from .features import FeatureConfig, extract_features, load_features, save_features
+from .features import FeatureConfig, extract_features
 from .model import ModelConfig, decode, load_checkpoint
 from .training import TrainItem, rng_for, split_corpus, train
 from .variants import (
@@ -69,9 +69,10 @@ def emit_results_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_variant_inputs(variant, g2p_path, alignments_path):
-    g2p = None
-    alignments = None
+def corpus_units(records, variant, g2p_path, alignments_path, gap_threshold):
+    """Each record's label units under the variant, which reads its G2P
+    rules and word alignments from the given paths when it needs them."""
+    g2p = alignments = None
     if variant.startswith("ipa"):
         if g2p_path is None or not Path(g2p_path).exists():
             raise ConfigError(f"variant '{variant}' needs a G2P rule file")
@@ -80,60 +81,58 @@ def _load_variant_inputs(variant, g2p_path, alignments_path):
         if alignments_path is None or not Path(alignments_path).exists():
             raise ConfigError("variant 'ipa-pause-boundaries' needs word alignments")
         alignments = load_alignments(alignments_path)
-    return g2p, alignments
-
-
-def corpus_units(records, variant, g2p=None, alignments=None, gap_threshold=0.15):
     return {
         record.id: variant_units(record, variant, g2p, alignments, gap_threshold)
         for record in records
     }
 
 
-def build_items(records, unit_map, vocab, audio_root, feature_config,
-                cache_dir=None):
+def build_items(records, unit_map, vocab, audio_root, feature_config):
     """Slice audio, extract features, and encode targets for each record."""
     audio_root = Path(audio_root)
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
     buffers = {}
     items = []
     for record in records:
-        cache_path = None if cache_dir is None else cache_dir / f"{record.id}.feat"
-        matrix = None
-        if cache_path is not None and cache_path.exists():
-            try:
-                matrix = load_features(cache_path, feature_config)
-            except DataError:
-                pass  # unreadable, e.g. an older cache format: re-extract it
-        if matrix is None:
-            if record.audio not in buffers:
-                buffers[record.audio] = read_wav(audio_root / record.audio)
-            session = buffers[record.audio]
-            clip = slice_audio(session, record.start_s, record.end_s)
-            matrix = extract_features(clip, feature_config)
-            if cache_path is not None:
-                save_features(cache_path, matrix, feature_config)
+        if record.audio not in buffers:
+            buffers[record.audio] = read_wav(audio_root / record.audio)
+        clip = slice_audio(buffers[record.audio], record.start_s, record.end_s)
+        matrix = extract_features(clip, feature_config)
         target = vocab.encode(unit_map[record.id], record.id)
         items.append(TrainItem(id=record.id, features=matrix.frames, target=target))
     return items
 
 
-def _decode_items(params, items, vocab, decoder="greedy", beam_width=8):
-    entries = []
-    for item in items:
-        decoded = decode(params, item.features, beam_width if decoder == "beam" else None)
-        ref_units = tuple(vocab.labels[i] for i in item.target)
-        hyp_units = tuple(vocab.labels[i] for i in decoded.labels)
-        entries.append((item.id, ref_units, hyp_units, vocab.decode(decoded.labels)))
-    return entries
+@dataclass
+class _Corpus:
+    """A corpus read, encoded and split once per command; items holds the
+    utterances extracted so far, by id, so none is extracted twice."""
+
+    records: list
+    audio_root: Path
+    unit_map: dict
+    vocab: LabelVocabulary
+    train: list
+    dev: list
+    test: list
+    items: dict = field(default_factory=dict)
+
+    def extract(self, records, feature_config) -> None:
+        todo = [r for r in records if r.id not in self.items]
+        for item in build_items(todo, self.unit_map, self.vocab, self.audio_root,
+                                feature_config):
+            self.items[item.id] = item
 
 
-def _read_corpus(config: ExperimentConfig) -> list:
+def _load_corpus(config: ExperimentConfig) -> _Corpus:
     if config.corpus is None or not Path(config.corpus).exists():
         raise DataError(f"prepared corpus manifest not found: {config.corpus}")
-    return read_manifest(config.corpus)
+    records = read_manifest(config.corpus)
+    unit_map = corpus_units(records, config.variant, config.g2p_rules,
+                            config.alignments, config.pause_gap_threshold)
+    ratios = (config.train.split_train, config.train.split_dev, config.train.split_test)
+    return _Corpus(records, Path(config.corpus).resolve().parent, unit_map,
+                   build_vocabulary(unit_map.values()),
+                   *split_corpus(records, ratios, config.seed))
 
 
 def _append_results(out_dir: Path, row: ResultsRow) -> None:
@@ -148,36 +147,28 @@ def _append_results(out_dir: Path, row: ResultsRow) -> None:
 
 
 def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
-                   run_dir=None, experiment_id=None, feature_cache=False) -> ResultsRow:
+                   run_dir=None, experiment_id=None, corpus=None) -> ResultsRow:
     """End-to-end train and test-evaluate one experiment.
 
     subset_ids restricts the train split (dev/test stay identical); the
     vocabulary always comes from the full corpus so subsets stay comparable.
+    corpus is the caller's _Corpus of this config, when it has one; its
+    extracted utterances are reused.
     """
     experiment_id = experiment_id or config.name
     run_dir = Path(run_dir) if run_dir is not None else config.out_dir / experiment_id
 
     with _stage("data"):
-        records = _read_corpus(config)
-        audio_root = Path(config.corpus).resolve().parent
-        g2p, alignments = _load_variant_inputs(config.variant, config.g2p_rules,
-                                               config.alignments)
-        unit_map = corpus_units(records, config.variant, g2p, alignments,
-                                config.pause_gap_threshold)
-        vocab = build_vocabulary(unit_map.values())
-
+        if corpus is None:
+            corpus = _load_corpus(config)
         layers, hidden = (2, 64) if fast else (config.model_layers, config.model_hidden)
         model_config = ModelConfig(
             input_dim=config.features.dims,
-            vocab_size=vocab.size - 1,
+            vocab_size=corpus.vocab.size - 1,
             num_layers=layers,
             hidden_units=hidden,
         )
-
-        ratios = (config.train.split_train, config.train.split_dev,
-                  config.train.split_test)
-        train_records, dev_records, test_records = split_corpus(records, ratios,
-                                                                config.seed)
+        train_records = corpus.train
         if subset_ids is not None:
             chosen = set(subset_ids)
             missing = chosen - {r.id for r in train_records}
@@ -188,7 +179,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
             train_records = [r for r in train_records if r.id in chosen]
 
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(records, run_dir / "manifest.jsonl")
+    write_manifest(corpus.records, run_dir / "manifest.jsonl")
     if config.g2p_rules is not None:
         shutil.copyfile(config.g2p_rules, run_dir / "g2p.tsv")
     if config.alignments is not None:
@@ -201,33 +192,33 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "seed": config.seed,
         "fast": fast,
         "decoder": "greedy",
-        "audio_root": str(audio_root),
+        "audio_root": str(corpus.audio_root),
         "pause_gap_threshold": config.pause_gap_threshold,
         "feature_config": asdict(config.features),
         "model": asdict(model_config),
         "train": asdict(config.train),
         "splits": {
             "train": [r.id for r in train_records],
-            "dev": [r.id for r in dev_records],
-            "test": [r.id for r in test_records],
+            "dev": [r.id for r in corpus.dev],
+            "test": [r.id for r in corpus.test],
         },
         "subset": sorted(subset_ids) if subset_ids is not None else None,
     }
     _write_run_info(run_dir, run_info)
 
     with _stage("features"):
-        cache_dir = run_dir / "features" if feature_cache else None
-        train_items = build_items(train_records, unit_map, vocab, audio_root,
-                                  config.features, cache_dir)
-        dev_items = build_items(dev_records, unit_map, vocab, audio_root,
-                                config.features, cache_dir)
+        corpus.extract(train_records + corpus.dev + corpus.test, config.features)
+    train_items, dev_items, test_items = (
+        [corpus.items[r.id] for r in part] for part in (train_records, corpus.dev, corpus.test))
 
     with _stage("train"):
         result = train(train_items, dev_items, model_config, config.train, run_dir,
-                       vocab.labels)
+                       corpus.vocab.labels)
 
     with _stage("evaluate"):
-        row, _ = _evaluate_split(run_dir, run_info, "test")
+        params, vocab, _ = _load_run_model(run_dir, run_info)
+        row, _ = _report_split(run_dir, run_info, "test", params, vocab, test_items,
+                               {r.id: r for r in corpus.records})
     run_info["results"] = {
         "utterances": row.utterances,
         "minutes": row.minutes,
@@ -250,11 +241,22 @@ def _read_run_info(run_dir) -> dict:
     path = Path(run_dir) / RUN_FILE
     if not path.exists():
         raise DataError(f"not a run directory (no {RUN_FILE}): {run_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: unreadable ({exc})") from exc
 
 
-def _evaluate_split(run_dir, run_info, split, decoder=None, beam_width=8):
-    run_dir = Path(run_dir)
+def _load_run_model(run_dir, run_info):
+    """A finished run's parameters, label vocabulary and feature config."""
+    params, labels = load_checkpoint(Path(run_dir) / "checkpoint.bin")
+    feature_config = FeatureConfig(**run_info["feature_config"])
+    return params, LabelVocabulary(labels=tuple(labels)), feature_config
+
+
+def _load_split(run_dir, run_info, split, vocab, feature_config):
+    """Rebuild one split's items from a run directory; also returns the
+    run's records by id."""
     if split not in run_info["splits"]:
         raise ConfigError(f"unknown split '{split}' (expected train, dev, or test)")
     records = {r.id: r for r in read_manifest(run_dir / "manifest.jsonl")}
@@ -269,20 +271,24 @@ def _evaluate_split(run_dir, run_info, split, decoder=None, beam_width=8):
     if not split_records:
         raise DataError(f"split '{split}' is empty")
 
-    g2p, alignments = _load_variant_inputs(
-        run_info["variant"],
-        run_dir / "g2p.tsv" if run_info["variant"].startswith("ipa") else None,
-        run_dir / "words.jsonl" if run_info["variant"] == "ipa-pause-boundaries" else None,
-    )
-    unit_map = corpus_units(split_records, run_info["variant"], g2p, alignments,
-                            run_info["pause_gap_threshold"])
-    params, vocab_labels = load_checkpoint(run_dir / "checkpoint.bin")
-    vocab = LabelVocabulary(labels=tuple(vocab_labels))
-    feature_config = FeatureConfig(**run_info["feature_config"])
+    unit_map = corpus_units(split_records, run_info["variant"], run_dir / "g2p.tsv",
+                            run_dir / "words.jsonl", run_info["pause_gap_threshold"])
     items = build_items(split_records, unit_map, vocab, run_info["audio_root"],
                         feature_config)
+    return items, records
+
+
+def _report_split(run_dir, run_info, split, params, vocab, items, records,
+                  decoder=None, beam_width=8):
+    """Decode a split's items, write report-<split>.{json,txt}, and return
+    the results row and the report."""
     decoder = decoder or run_info.get("decoder", "greedy")
-    entries = _decode_items(params, items, vocab, decoder, beam_width)
+    beam = beam_width if decoder == "beam" else None
+    entries = []
+    for item in items:
+        labels = decode(params, item.features, beam).labels
+        entries.append((item.id, tuple(vocab.labels[i] for i in item.target),
+                        tuple(vocab.labels[i] for i in labels), vocab.decode(labels)))
     report = build_report(entries, decoder)
 
     (run_dir / f"report-{split}.json").write_text(report_to_json(report) + "\n",
@@ -303,8 +309,12 @@ def _evaluate_split(run_dir, run_info, split, decoder=None, beam_width=8):
 
 def evaluate_run(run_dir, split="test", decoder=None, beam_width=8):
     """Re-evaluate a finished run from its directory alone."""
-    return _evaluate_split(run_dir, _read_run_info(run_dir), split, decoder,
-                           beam_width)
+    run_dir = Path(run_dir)
+    run_info = _read_run_info(run_dir)
+    params, vocab, feature_config = _load_run_model(run_dir, run_info)
+    items, records = _load_split(run_dir, run_info, split, vocab, feature_config)
+    return _report_split(run_dir, run_info, split, params, vocab, items, records,
+                         decoder, beam_width)
 
 
 def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
@@ -312,31 +322,34 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
 
     Subsets come from one seeded shuffle, so each smaller subset is
     contained in every larger one; dev and test stay identical throughout.
+    The corpus is read once, and each utterance that some size uses is
+    extracted once.
     """
     sizes = [int(s) for s in sizes]
     if not sizes or sizes != sorted(sizes):
         raise ConfigError(f"sweep sizes must be ascending, got {sizes}")
-    records = _read_corpus(config)
-    ratios = (config.train.split_train, config.train.split_dev, config.train.split_test)
-    train_records, _, _ = split_corpus(records, ratios, config.seed)
-    if sizes[-1] > len(train_records):
+    with _stage("data"):
+        corpus = _load_corpus(config)
+    if sizes[-1] > len(corpus.train):
         raise ConfigError(
             f"sweep size {sizes[-1]} exceeds the train split "
-            f"({len(train_records)} utterances)"
+            f"({len(corpus.train)} utterances)"
         )
-    shuffled = rng_for(config.seed, "subset").permutation(len(train_records))
-    ordered_ids = [train_records[i].id for i in shuffled]
+    shuffled = rng_for(config.seed, "subset").permutation(len(corpus.train))
+    ordered = [corpus.train[i] for i in shuffled]
+    with _stage("features"):
+        corpus.extract(ordered[:sizes[-1]] + corpus.dev + corpus.test, config.features)
 
     rows = []
     for size in sizes:
-        subset = ordered_ids[:size]
         rows.append(
             run_experiment(
                 config,
                 fast=fast,
-                subset_ids=subset,
+                subset_ids=[r.id for r in ordered[:size]],
                 run_dir=config.out_dir / f"{config.name}-n{size}",
                 experiment_id=f"{config.name}-n{size}",
+                corpus=corpus,
             )
         )
     return rows
@@ -349,10 +362,7 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
     the remaining files. Output text is written next to each input.
     """
     run_dir = Path(run_dir)
-    run_info = _read_run_info(run_dir)
-    params, vocab_labels = load_checkpoint(run_dir / "checkpoint.bin")
-    vocab = LabelVocabulary(labels=tuple(vocab_labels))
-    feature_config = FeatureConfig(**run_info["feature_config"])
+    params, vocab, feature_config = _load_run_model(run_dir, _read_run_info(run_dir))
 
     outputs = []
     for wav_path in wav_paths:

@@ -52,7 +52,6 @@ class TrainConfig:
     split_train: float = 0.8
     split_dev: float = 0.1
     split_test: float = 0.1
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         ratios = (self.split_train, self.split_dev, self.split_test)
@@ -243,9 +242,6 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                         f"last good checkpoint kept at {checkpoint_path}"
                     )
                 grads = backward_batch(params, cache, dlogits)
-                if train_config.weight_decay > 0:
-                    for name, value in params.tensors.items():
-                        grads[name] = grads[name] + train_config.weight_decay * value
                 params, adam = adam_step(params, grads, adam, train_config)
 
             train_loss = total_loss / len(train_items)

@@ -1,11 +1,11 @@
-import hashlib
 import json
 import shutil
-import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tinyasr import pipeline
 from tinyasr.audio import AudioBuffer, write_wav
 from tinyasr.cli import main
 from tinyasr.config import load_experiment_config, parse_experiment_config
@@ -13,6 +13,22 @@ from tinyasr.errors import ConfigError
 from tinyasr.model import load_checkpoint
 from tinyasr.pipeline import ResultsRow, emit_results_table, evaluate_run
 from tinyasr.training import rng_for
+
+
+def _remove(name):
+    return lambda run: (run / name).unlink()
+
+
+def _truncate(name, size=None):
+    """Cut a run file to size bytes, or to half its length."""
+    def damage(run):
+        data = (run / name).read_bytes()
+        (run / name).write_bytes(data[:len(data) // 2 if size is None else size])
+    return damage
+
+
+def _replace(name, data):
+    return lambda run: (run / name).write_bytes(data)
 
 
 class TestResultsTable:
@@ -89,6 +105,33 @@ class TestConfigParsing:
         raw["subset_sizes"] = [50, 25]
         with pytest.raises(ConfigError, match="ascending"):
             parse_experiment_config(raw)
+
+    def test_weight_decay_is_no_longer_a_key(self):
+        raw = self.base()
+        raw["train"] = {"weight_decay": 0.01}
+        with pytest.raises(ConfigError, match="unknown config key 'weight_decay'"):
+            parse_experiment_config(raw)
+
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "seed", "abc"),
+        ("model", "num_layers", "x"),
+        ("features", "n_mels", "x"),
+    ])
+    def test_ill_typed_value_exits_1_before_any_run(self, tmp_path, capsys,
+                                                    section, key, value):
+        raw = self.base()
+        raw["out_dir"] = str(tmp_path / "runs")
+        if section is None:
+            raw[key] = value
+        else:
+            raw[section] = {key: value}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_experiment_config(path)
+        assert main(["train", "--config", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -312,56 +355,61 @@ class TestTrainedRun:
         assert rc == 1
         assert "80" in capsys.readouterr().err
 
-    def test_feature_cache_writes_files(self, tone_corpus, tmp_path):
+    def test_sweep_extracts_each_utterance_once(self, tone_corpus, tmp_path,
+                                                monkeypatch):
+        extracted = Counter()
+        original = pipeline.extract_features
+
+        def counting(audio, config):
+            extracted[audio.samples.tobytes()] += 1
+            return original(audio, config)
+
+        monkeypatch.setattr(pipeline, "extract_features", counting)
         config = {
             "schema_version": 1,
-            "name": "cached",
+            "name": "once",
             "corpus": str(tone_corpus["manifest"]),
             "variant": "orig-no-spaces",
             "out_dir": str(tmp_path / "runs"),
-            "seed": 4,
+            "seed": 3,
             "model": {"num_layers": 1, "hidden_units": 8},
             "train": {"max_epochs": 1, "patience": 1, "batch_size": 16},
         }
-        path = tmp_path / "cached.json"
+        path = tmp_path / "once.json"
         path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(path), "--feature-cache"]) == 0
-        cached = list((tmp_path / "runs" / "cached" / "features").glob("*.feat"))
-        assert len(cached) == 90  # train + dev utterances of the 100-utt corpus
+        assert main(["sweep", "--config", str(path), "--sizes", "5,10,20"]) == 0
+        info = json.loads((tmp_path / "runs" / "once-n20" / "run.json").read_text())
+        used = len(info["subset"]) + len(info["splits"]["dev"]) + len(info["splits"]["test"])
+        assert len(extracted) == used
+        assert set(extracted.values()) == {1}
 
-    def test_feature_cache_reproduces_uncached_checkpoint(self, tone_corpus, tmp_path):
-        config = {
-            "schema_version": 1,
-            "name": "honest",
-            "corpus": str(tone_corpus["manifest"]),
-            "variant": "orig-no-spaces",
-            "out_dir": str(tmp_path / "runs"),
-            "seed": 6,
-            "train": {"max_epochs": 1, "patience": 1, "batch_size": 16},
-        }
-        path = tmp_path / "honest.json"
-        path.write_text(json.dumps(config))
-
-        def train_sha(run_dir, *flags):
-            argv = ["train", "--config", str(path), "--fast", "--run-dir", str(run_dir)]
-            assert main(argv + list(flags)) == 0
-            return hashlib.sha256((run_dir / "checkpoint.bin").read_bytes()).hexdigest()
-
-        cached_run = tmp_path / "cached"
-        cold = train_sha(cached_run, "--feature-cache")
-        warm = train_sha(cached_run, "--feature-cache")
-        uncached = train_sha(tmp_path / "uncached")
-        assert cold == warm == uncached
-
-        # an entry in the older float32 layout (magic, version, header
-        # without a tensor list, raw float32) is re-extracted, not reused
-        entry = sorted((cached_run / "features").glob("*.feat"))[0]
-        header = json.dumps({"T": 2, "D": 1, "frame_shift_s": 0.01,
-                             "frame_length_s": 0.025}).encode()
-        entry.write_bytes(b"TASRFEAT" + struct.pack("<II", 1, len(header)) + header
-                          + np.zeros(2, dtype="<f4").tobytes())
-        assert train_sha(cached_run, "--feature-cache") == uncached
-        assert entry.stat().st_size > 1000
+    @pytest.mark.parametrize("command,damage", [
+        ("evaluate", _remove("checkpoint.bin")),
+        ("transcribe", _remove("checkpoint.bin")),
+        ("evaluate", _truncate("checkpoint.bin")),
+        ("evaluate", _truncate("checkpoint.bin", 10)),
+        ("evaluate", _truncate("run.json")),
+        ("error-report", _replace("report-test.json", b"{}")),
+        ("error-report", _truncate("report-test.json")),
+        ("error-report", _replace("report-test.json", b"\xff\xfe")),
+    ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
+            "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
+            "evaluate-truncated-run-json", "error-report-empty-report",
+            "error-report-truncated-report", "error-report-binary-report"])
+    def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
+                                           command, damage):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        damage(run)
+        argv = [command, "--run", str(run)]
+        if command == "transcribe":
+            wav = tmp_path / "hush.wav"
+            write_wav(wav, AudioBuffer(np.zeros(16000), 16000))
+            argv.append(str(wav))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestSubSeeds:

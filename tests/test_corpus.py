@@ -84,6 +84,12 @@ class TestManifestParsing:
         with pytest.raises(DataError, match="before"):
             parse_manifest(path)
 
+    def test_line_that_is_not_an_object_names_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("5\n")
+        with pytest.raises(DataError, match="line 1"):
+            parse_manifest(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("", encoding="utf-8")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tinyasr import features
 from tinyasr.audio import AudioBuffer
 from tinyasr.errors import ConfigError, DataError
 from tinyasr.features import (
@@ -14,12 +15,10 @@ from tinyasr.features import (
     frame_count,
     frame_signal,
     hz_to_mel,
-    load_features,
     mel_filterbank,
     normalize_cmvn,
     power_spectrum,
     preemphasize,
-    save_features,
 )
 
 
@@ -95,6 +94,19 @@ class TestPowerSpectrum:
             lhs = (x * x).sum()
             rhs = full.sum() / nfft
             assert abs(lhs - rhs) / abs(lhs) < 1e-9
+
+    def test_frame_matrix_rows_match_single_frames(self):
+        # extract_features takes the spectra of a whole frame matrix at once
+        rng = np.random.default_rng(6)
+        frames = rng.normal(size=(7, 400))
+        matrix = power_spectrum(frames, 512)
+        rows = np.stack([power_spectrum(frame, 512) for frame in frames])
+        assert matrix.tobytes() == rows.tobytes()
+        bank = build_mel_filterbank(40, 512, 16000)
+        energies = mel_filterbank(matrix, bank)
+        assert energies.shape == (7, 40)
+        for row, spectrum in zip(energies, rows):
+            assert np.allclose(row, mel_filterbank(spectrum, bank), rtol=1e-12, atol=0)
 
     def test_nfft_must_be_pow2_and_cover_frame(self):
         with pytest.raises(ConfigError):
@@ -192,26 +204,21 @@ class TestExtraction:
         with pytest.raises(DataError, match="sample rate"):
             extract_features(buf, FeatureConfig(sample_rate=16000))
 
-    def test_cache_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        buf = AudioBuffer(rng.uniform(-0.3, 0.3, size=16000), 16000)
-        config = FeatureConfig()
-        matrix = extract_features(buf, config)
-        path = tmp_path / "u.feat"
-        save_features(path, matrix, config)
-        back = load_features(path, config)
-        assert back.frames.shape == matrix.frames.shape
-        assert back.frame_shift_s == matrix.frame_shift_s
-        # cache stores float64, so a warm read is bit-identical
-        assert np.abs(back.frames - matrix.frames).max() == 0.0
-        assert back.frames.tobytes() == matrix.frames.tobytes()
+    def test_uses_the_checked_spectrum_functions(self, monkeypatch):
+        # criterion 3 checks power_spectrum and mel_filterbank; extraction
+        # must run them, once each, over the whole frame matrix
+        calls = []
 
-    def test_cache_entry_of_other_config_is_stale(self, tmp_path):
-        rng = np.random.default_rng(11)
-        buf = AudioBuffer(rng.uniform(-0.3, 0.3, size=8000), 16000)
-        config = FeatureConfig()
-        path = tmp_path / "u.feat"
-        save_features(path, extract_features(buf, config), config)
-        assert load_features(path, config) is not None
-        assert load_features(path, FeatureConfig(n_mels=20)) is None
-        assert load_features(path, FeatureConfig(fmax=7000.0)) is None
+        def recording(name):
+            original = getattr(features, name)
+
+            def wrapper(x, *args, **kwargs):
+                calls.append((name, x.ndim))
+                return original(x, *args, **kwargs)
+            return wrapper
+
+        for name in ("power_spectrum", "mel_filterbank"):
+            monkeypatch.setattr(features, name, recording(name))
+        buf = AudioBuffer(np.random.default_rng(12).uniform(-0.3, 0.3, 8000), 16000)
+        extract_features(buf, FeatureConfig())
+        assert calls == [("power_spectrum", 2), ("mel_filterbank", 2)]
