@@ -75,12 +75,14 @@ def _cmd_transcribe(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_experiment_config(args.config)
+    sizes = config.subset_sizes
     if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    else:
-        sizes = config.subset_sizes
-    if not sizes:
-        raise ConfigError("no sweep sizes given (use --sizes or subset_sizes)")
+        try:
+            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        except ValueError as exc:
+            raise ConfigError(
+                f"--sizes takes comma-separated counts, got {args.sizes!r}"
+            ) from exc
     rows = augmentation_sweep(config, sizes, fast=args.fast)
     print(emit_results_table(rows), end="")
     return 0

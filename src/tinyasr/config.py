@@ -43,6 +43,14 @@ def _checked(section: dict, types: dict, where: str) -> dict:
     return section
 
 
+def check_sizes(sizes, what: str) -> list:
+    """Sweep sizes are ascending positive utterance counts."""
+    sizes = list(sizes)
+    if any(type(s) is not int or s < 1 for s in sizes) or sizes != sorted(sizes):
+        raise ConfigError(f"{what} must be ascending positive counts, got {sizes}")
+    return sizes
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -69,9 +77,7 @@ class ExperimentConfig:
             raise ConfigError(f"variant '{self.variant}' requires g2p_rules")
         if self.variant == "ipa-pause-boundaries" and self.alignments is None:
             raise ConfigError("variant 'ipa-pause-boundaries' requires alignments")
-        sizes = list(self.subset_sizes)
-        if any(type(s) is not int or s < 1 for s in sizes) or sizes != sorted(sizes):
-            raise ConfigError("subset_sizes must be ascending positive counts")
+        check_sizes(self.subset_sizes, "subset_sizes")
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -46,6 +46,13 @@ _MAX_DURATION_MS = 10000
 
 _MANIFEST_KEYS = ("id", "audio", "start_s", "end_s", "transcript", "speaker")
 
+# Characters normalized to ASCII space.
+INVISIBLE_SPACES = ("\u00a0", "\u200b", "\u202f")
+# Non-verbal markers: ((TOKEN)) is stripped and the text around it kept.
+# Any other remaining ((...)) rejects the annotation as unclear.
+EVENT_TOKENS = ("COUGH", "LAUGH", "BREATH", "NOISE")
+
+_EVENT = re.compile(r"\(\(\s*(?:%s)\s*\)\)" % "|".join(map(re.escape, EVENT_TOKENS)))
 _SELF_CORRECTION = re.compile(r"\(([^()\s]+)-\)")
 _WHITESPACE = re.compile(r"\s+")
 
@@ -96,54 +103,22 @@ class CorpusManifest:
     stats: CorpusStats
 
 
-@dataclass(frozen=True)
-class CleaningPolicy:
-    """Configurable pieces of the transcript cleaning rules.
-
-    invisible_spaces: characters normalized to ASCII space.
-    event_tokens: non-verbal markers; ((TOKEN)) is stripped, text kept.
-    unclear_markers: extra plain-text markers that reject the annotation
-        (any remaining ((...)) rejects it regardless).
-    """
-
-    invisible_spaces: tuple = (" ", "​", " ")
-    event_tokens: tuple = ("COUGH", "LAUGH", "BREATH", "NOISE")
-    unclear_markers: tuple = ()
-
-
-DEFAULT_POLICY = CleaningPolicy()
-
-
-def _event_pattern(policy: CleaningPolicy):
-    if not policy.event_tokens:
-        return None
-    alts = "|".join(re.escape(tok) for tok in policy.event_tokens)
-    return re.compile(r"\(\(\s*(?:%s)\s*\)\)" % alts)
-
-
 def _is_cyrillic(ch: str) -> bool:
     return 0x0400 <= ord(ch) <= 0x052F
 
 
-def clean_transcript(value: str, policy: CleaningPolicy = DEFAULT_POLICY):
+def clean_transcript(value: str):
     """Clean one annotation value.
 
     Returns (cleaned_text, None) on acceptance or (None, reason) on
     rejection. Cleaning is idempotent on accepted text.
     """
     text = unicodedata.normalize("NFC", value)
-    for ch in policy.invisible_spaces:
+    for ch in INVISIBLE_SPACES:
         text = text.replace(ch, " ")
-
-    event_re = _event_pattern(policy)
-    if event_re is not None:
-        text = event_re.sub(" ", text)
-
+    text = _EVENT.sub(" ", text)
     if "((" in text or "))" in text:
         return None, REASON_UNCLEAR
-    for marker in policy.unclear_markers:
-        if marker in text:
-            return None, REASON_UNCLEAR
 
     # Self-corrections like "(word-)" keep the word, lose hyphen and parens.
     # Applied to a fixed point so the result never contains another match.
@@ -197,7 +172,13 @@ def parse_eaf_subset(path) -> list:
         slot_id = slot.get("TIME_SLOT_ID")
         value = slot.get("TIME_VALUE")
         if slot_id is not None and value is not None:
-            slots[slot_id] = int(value)
+            try:
+                slots[slot_id] = int(value)
+            except ValueError as exc:
+                raise DataError(
+                    f"{path.name}: time slot '{slot_id}' has a TIME_VALUE {value!r} "
+                    f"that is not whole milliseconds"
+                ) from exc
 
     def resolve(ref, ann_id):
         if ref not in slots:
@@ -230,45 +211,69 @@ def parse_eaf_subset(path) -> list:
     return annotations
 
 
+def text_lines(path):
+    """Yield (line number, line) of a UTF-8 text file, line endings
+    stripped. An unreadable file or a line that is not UTF-8 is a
+    DataError naming it."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path.name} line {lineno}: not UTF-8 text") from exc
+
+
+def read_json_lines(path):
+    """Yield (line number, object) for each non-blank line of a JSON-lines
+    file. Invalid JSON or a line that is not an object is a DataError
+    naming the file and the line."""
+    name = Path(path).name
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{name} line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(row, dict):
+            raise DataError(f"{name} line {lineno}: expected a JSON object")
+        yield lineno, row
+
+
 def parse_manifest(path) -> list:
     """Parse a JSON-lines manifest into raw annotations, preserving order."""
-    path = Path(path)
+    name = Path(path).name
     annotations = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path.name} line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(row, dict):
-                raise DataError(f"{path.name} line {lineno}: expected a JSON object")
-            for key in _MANIFEST_KEYS:
-                if key not in row:
-                    raise DataError(f"{path.name} line {lineno}: missing key '{key}'")
-            start_s, end_s = row["start_s"], row["end_s"]
-            if not isinstance(start_s, (int, float)) or not isinstance(end_s, (int, float)):
-                raise DataError(f"{path.name} line {lineno}: start_s/end_s must be numbers")
-            if start_s >= end_s:
-                raise DataError(
-                    f"{path.name} line {lineno}: start_s {start_s} is not before end_s {end_s}"
-                )
-            annotations.append(
-                RawAnnotation(
-                    tier_id=str(row.get("tier", "")),
-                    start_s=float(start_s),
-                    end_s=float(end_s),
-                    value=str(row["transcript"]),
-                    id=str(row["id"]),
-                    audio=str(row["audio"]),
-                    speaker=str(row["speaker"]),
-                )
+    for lineno, row in read_json_lines(path):
+        for key in _MANIFEST_KEYS:
+            if key not in row:
+                raise DataError(f"{name} line {lineno}: missing key '{key}'")
+        start_s, end_s = row["start_s"], row["end_s"]
+        if not isinstance(start_s, (int, float)) or not isinstance(end_s, (int, float)):
+            raise DataError(f"{name} line {lineno}: start_s/end_s must be numbers")
+        if start_s >= end_s:
+            raise DataError(
+                f"{name} line {lineno}: start_s {start_s} is not before end_s {end_s}"
             )
+        annotations.append(
+            RawAnnotation(
+                tier_id=str(row.get("tier", "")),
+                start_s=float(start_s),
+                end_s=float(end_s),
+                value=str(row["transcript"]),
+                id=str(row["id"]),
+                audio=str(row["audio"]),
+                speaker=str(row["speaker"]),
+            )
+        )
     return annotations
 
 
-def build_corpus(annotations, policy: CleaningPolicy = DEFAULT_POLICY):
+def build_corpus(annotations):
     """Apply cleaning and duration rules to raw annotations.
 
     Returns (records, rejections, stats); rejections are {id, reason} dicts.
@@ -283,7 +288,7 @@ def build_corpus(annotations, policy: CleaningPolicy = DEFAULT_POLICY):
             raise DataError(f"duplicate utterance id '{utt_id}'")
         seen_ids.add(utt_id)
 
-        cleaned, reason = clean_transcript(ann.value, policy)
+        cleaned, reason = clean_transcript(ann.value)
         if reason is None:
             reason = filter_duration(ann.end_s - ann.start_s)
         if reason is not None:
@@ -307,7 +312,7 @@ def build_corpus(annotations, policy: CleaningPolicy = DEFAULT_POLICY):
     return records, rejections, stats
 
 
-def prepare_corpus_dir(corpus_dir, policy: CleaningPolicy = DEFAULT_POLICY, tier=None):
+def prepare_corpus_dir(corpus_dir, tier=None):
     """Ingest a corpus directory of EAF files (with same-stem WAVs) and/or
     JSON-lines manifests, returning (CorpusManifest, rejections).
 
@@ -336,7 +341,7 @@ def prepare_corpus_dir(corpus_dir, policy: CleaningPolicy = DEFAULT_POLICY, tier
     if not annotations:
         raise DataError(f"no annotations found under {corpus_dir}")
 
-    records, rejections, stats = build_corpus(annotations, policy)
+    records, rejections, stats = build_corpus(annotations)
 
     sample_rate = None
     durations = {}

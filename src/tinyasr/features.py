@@ -130,14 +130,11 @@ def build_mel_filterbank(n_mels: int, nfft: int, sample_rate: int,
     return bank
 
 
-def mel_filterbank(spectrum: np.ndarray, bank: np.ndarray, take_log: bool = True,
+def mel_filterbank(spectrum: np.ndarray, bank: np.ndarray,
                    log_floor: float = 1e-10) -> np.ndarray:
-    """Filterbank energies of one power spectrum, or of each row of a
+    """Log filterbank energies of one power spectrum, or of each row of a
     spectrum matrix, floored before the log."""
-    energies = spectrum @ bank.T
-    if take_log:
-        energies = np.log(np.maximum(energies, log_floor))
-    return energies
+    return np.log(np.maximum(spectrum @ bank.T, log_floor))
 
 
 def append_deltas(frames: np.ndarray) -> np.ndarray:

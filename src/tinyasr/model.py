@@ -190,10 +190,8 @@ def forward_batch(params: ModelParameters, feature_list):
 
 
 def forward(params: ModelParameters, features):
-    """Single-utterance forward pass; features is a (T, D) array or a
-    FeatureMatrix."""
-    frames = getattr(features, "frames", features)
-    logits_list, cache = forward_batch(params, [np.asarray(frames, dtype=np.float64)])
+    """Single-utterance forward pass over a (T, D) array."""
+    logits_list, cache = forward_batch(params, [np.asarray(features, dtype=np.float64)])
     return logits_list[0], cache
 
 
@@ -291,25 +289,30 @@ def backward(params: ModelParameters, cache: ForwardCache, dlogits):
     return backward_batch(params, cache, [dlogits])
 
 
-def write_tensor_container(path, magic: bytes, header: dict, tensors: dict) -> None:
-    """Binary container: magic, version, json header, then the named
-    tensors as little-endian float64 in header order."""
-    meta = dict(header)
-    meta["tensors"] = [{"name": n, "shape": list(t.shape)} for n, t in tensors.items()]
-    blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
+def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
+    """Layout: magic, version, json header (config, vocabulary, tensor
+    list), then the named tensors as little-endian float64 in header
+    order."""
+    header = {
+        "config": asdict(params.config),
+        "vocabulary": list(vocabulary),
+        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in params.tensors.items()],
+    }
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(magic)
+        fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(blob)))
         fh.write(blob)
-        for tensor in tensors.values():
+        for tensor in params.tensors.values():
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def read_tensor_container(path, magic: bytes):
-    """A missing, truncated or garbled container is a DataError."""
+def load_checkpoint(path):
+    """Returns (parameters, vocabulary). A missing, truncated or garbled
+    checkpoint is a DataError."""
     try:
         with open(path, "rb") as fh:
-            if fh.read(8) != magic:
+            if fh.read(8) != CHECKPOINT_MAGIC:
                 raise DataError(f"{path}: wrong file magic")
             version, header_len = struct.unpack("<II", fh.read(8))
             if version != CONTAINER_VERSION:
@@ -318,7 +321,7 @@ def read_tensor_container(path, magic: bytes):
             if "tensors" not in header:
                 raise DataError(f"{path}: container header lists no tensors")
             tensors = {}
-            for entry in header.pop("tensors"):
+            for entry in header["tensors"]:
                 shape = tuple(entry["shape"])
                 count = int(np.prod(shape)) if shape else 1
                 data = np.frombuffer(fh.read(count * 8), dtype="<f8")
@@ -327,15 +330,5 @@ def read_tensor_container(path, magic: bytes):
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: truncated or garbled ({exc})") from exc
-    return header, tensors
-
-
-def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
-    header = {"config": asdict(params.config), "vocabulary": list(vocabulary)}
-    write_tensor_container(path, CHECKPOINT_MAGIC, header, params.tensors)
-
-
-def load_checkpoint(path):
-    header, tensors = read_tensor_container(path, CHECKPOINT_MAGIC)
     config = ModelConfig(**header["config"])
     return ModelParameters(config, tensors), header["vocabulary"]

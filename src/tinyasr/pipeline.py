@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio import read_wav, slice_audio
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_sizes
 from .corpus import read_manifest, write_manifest
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import build_report, confusion_report, report_to_json
@@ -30,6 +30,9 @@ from .variants import (
 )
 
 RUN_FILE = "run.json"
+# what evaluate and transcribe read back from a run record
+_RUN_KEYS = ("experiment", "variant", "audio_root", "pause_gap_threshold",
+             "feature_config", "splits")
 
 
 @contextmanager
@@ -242,9 +245,12 @@ def _read_run_info(run_dir) -> dict:
     if not path.exists():
         raise DataError(f"not a run directory (no {RUN_FILE}): {run_dir}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        info = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}: unreadable ({exc})") from exc
+    if not isinstance(info, dict) or any(key not in info for key in _RUN_KEYS):
+        raise DataError(f"{path}: not a run record (needs {', '.join(_RUN_KEYS)})")
+    return info
 
 
 def _load_run_model(run_dir, run_info):
@@ -325,9 +331,9 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
     The corpus is read once, and each utterance that some size uses is
     extracted once.
     """
-    sizes = [int(s) for s in sizes]
-    if not sizes or sizes != sorted(sizes):
-        raise ConfigError(f"sweep sizes must be ascending, got {sizes}")
+    sizes = check_sizes(sizes, "sweep sizes")
+    if not sizes:
+        raise ConfigError("no sweep sizes given (use --sizes or subset_sizes)")
     with _stage("data"):
         corpus = _load_corpus(config)
     if sizes[-1] > len(corpus.train):
@@ -372,7 +378,7 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
                 raise DataError(f"file not found: {wav_path}")
             audio = read_wav(wav_path)
             matrix = extract_features(audio, feature_config)
-            decoded = decode(params, matrix, beam_width or None)
+            decoded = decode(params, matrix.frames, beam_width or None)
             text = vocab.decode(decoded.labels)
             wav_path.with_suffix(".txt").write_text(text + "\n", encoding="utf-8")
             outputs.append((str(wav_path), text, None))

@@ -23,12 +23,8 @@ from .model import (
     decode,
     forward_batch,
     init_parameters,
-    read_tensor_container,
     save_checkpoint,
-    write_tensor_container,
 )
-
-STATE_MAGIC = b"TASRSTAT"
 
 
 def rng_for(seed: int, name: str, *extra) -> np.random.Generator:
@@ -167,7 +163,6 @@ class TrainResult:
     best_dev_ler: float
     best_epoch: int
     epochs: list  # per-epoch record dicts
-    checkpoint_path: str
 
 
 def dev_label_error_rate(params, items) -> float:
@@ -175,33 +170,8 @@ def dev_label_error_rate(params, items) -> float:
     return corpus_ler(pairs, [item.id for item in items])
 
 
-def save_train_state(path, state: AdamState, seed: int, epoch: int,
-                     best_dev_ler: float, since_improvement: int) -> None:
-    tensors = {}
-    for name in state.m:
-        tensors[f"m.{name}"] = np.asarray(state.m[name], dtype=np.float64)
-        tensors[f"v.{name}"] = np.asarray(state.v[name], dtype=np.float64)
-    header = {
-        "step": state.step,
-        "seed": seed,
-        "epoch": epoch,
-        "best_dev_ler": best_dev_ler,
-        "epochs_since_improvement": since_improvement,
-    }
-    write_tensor_container(path, STATE_MAGIC, header, tensors)
-
-
-def load_train_state(path):
-    header, tensors = read_tensor_container(path, STATE_MAGIC)
-    state = AdamState(step=header["step"])
-    for name, tensor in tensors.items():
-        kind, _, param = name.partition(".")
-        (state.m if kind == "m" else state.v)[param] = tensor
-    return state, header
-
-
 def train(train_items, dev_items, model_config, train_config: TrainConfig,
-          run_dir, vocabulary, log_name="epochs.jsonl") -> TrainResult:
+          run_dir, vocabulary) -> TrainResult:
     """Full training loop. Writes one JSON line per epoch and keeps the
     checkpoint with the lowest dev LER in run_dir."""
     if not train_items or not dev_items:
@@ -214,7 +184,6 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = run_dir / "checkpoint.bin"
-    state_path = run_dir / "train_state.bin"
 
     seed = train_config.seed
     params = init_parameters(model_config, int(rng_for(seed, "init").integers(2 ** 31)))
@@ -224,7 +193,7 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
     best_epoch = 0
     since_improvement = 0
     records = []
-    with open(run_dir / log_name, "w", encoding="utf-8") as log:
+    with open(run_dir / "epochs.jsonl", "w", encoding="utf-8") as log:
         for epoch in range(1, train_config.max_epochs + 1):
             started = time.monotonic()
             shuffle = rng_for(seed, "epoch", epoch)
@@ -262,15 +231,9 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                 best_epoch = epoch
                 since_improvement = 0
                 save_checkpoint(checkpoint_path, params, vocabulary)
-                save_train_state(state_path, adam, seed, epoch, best, since_improvement)
             else:
                 since_improvement += 1
                 if since_improvement > train_config.patience:
                     break
 
-    return TrainResult(
-        best_dev_ler=best,
-        best_epoch=best_epoch,
-        epochs=records,
-        checkpoint_path=str(checkpoint_path),
-    )
+    return TrainResult(best_dev_ler=best, best_epoch=best_epoch, epochs=records)

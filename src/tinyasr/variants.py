@@ -6,11 +6,11 @@ version keeping only word boundaries that fall on real pauses in a word
 alignment.
 """
 
-import json
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import read_json_lines, text_lines
 from .errors import ConfigError, DataError
 
 BLANK = "<blank>"
@@ -95,58 +95,47 @@ class G2PRuleSet:
     """Ordered grapheme-to-phoneme rewrite rules.
 
     Rules apply left to right with longest-source-first matching; each
-    target string is emitted as one atomic label. Characters listed in
-    pass_through map to themselves.
+    target string is emitted as one atomic label. A character passes
+    through unchanged only by an identity rule (x<TAB>x).
     """
 
-    def __init__(self, rules, pass_through=()):
+    def __init__(self, rules):
         for source, target in rules:
             if not source:
                 raise ConfigError("rewrite rule with empty source")
-        self.rules = list(rules)
-        self.pass_through = set(pass_through)
-        # Longest source first; file order breaks ties between equal lengths.
-        self._ordered = sorted(
-            range(len(self.rules)), key=lambda i: (-len(self.rules[i][0]), i)
-        )
+        # Longest source first; the sort is stable, so file order breaks
+        # ties between equal lengths.
+        self.rules = sorted(rules, key=lambda rule: -len(rule[0]))
 
     @classmethod
-    def from_tsv(cls, path, pass_through=()):
+    def from_tsv(cls, path):
         rules = []
-        path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(
-                        f"{path.name} line {lineno}: expected 'source<TAB>target'"
-                    )
-                rules.append((unicodedata.normalize("NFC", parts[0]), parts[1]))
-        return cls(rules, pass_through)
+        for lineno, line in text_lines(path):
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(
+                    f"{Path(path).name} line {lineno}: expected 'source<TAB>target'"
+                )
+            rules.append((unicodedata.normalize("NFC", parts[0]), parts[1]))
+        return cls(rules)
 
     def apply(self, transcript: str, utterance_id="<unknown>") -> list:
         text = unicodedata.normalize("NFC", transcript)
         labels = []
         pos = 0
         while pos < len(text):
-            for i in self._ordered:
-                source, target = self.rules[i]
+            for source, target in self.rules:
                 if text.startswith(source, pos):
                     labels.append(target)
                     pos += len(source)
                     break
             else:
-                if text[pos] in self.pass_through:
-                    labels.append(text[pos])
-                    pos += 1
-                else:
-                    raise DataError(
-                        f"utterance '{utterance_id}': no rule covers {text[pos]!r} "
-                        f"at position {pos}"
-                    )
+                raise DataError(
+                    f"utterance '{utterance_id}': no rule covers {text[pos]!r} "
+                    f"at position {pos}"
+                )
         return labels
 
 
@@ -174,20 +163,16 @@ class WordAlignment:
 
 def load_alignments(path) -> dict:
     """Load per-utterance word alignments from JSON-lines."""
-    path = Path(path)
+    name = Path(path).name
     alignments = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path.name} line {lineno}: invalid JSON ({exc})") from exc
-            if "id" not in row or "words" not in row:
-                raise DataError(f"{path.name} line {lineno}: expected keys id, words")
+    for lineno, row in read_json_lines(path):
+        if not isinstance(row.get("id"), str) or not isinstance(row.get("words"), list):
+            raise DataError(f"{name} line {lineno}: expected an id string and a words list")
+        try:
             words = [(w["w"], float(w["start_s"]), float(w["end_s"])) for w in row["words"]]
-            alignments[row["id"]] = WordAlignment(row["id"], words)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{name} line {lineno}: each word needs w, start_s and end_s") from exc
+        alignments[row["id"]] = WordAlignment(row["id"], words)
     return alignments
 
 

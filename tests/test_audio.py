@@ -21,6 +21,12 @@ def test_wav_round_trip(tmp_path):
     assert np.abs(back.samples - buf.samples).max() <= 1.0 / 32768.0 + 1e-12
 
 
+@pytest.mark.parametrize("reader", [read_wav, wav_info])
+def test_directory_is_data_error(tmp_path, reader):
+    with pytest.raises(DataError, match="not a readable WAV file"):
+        reader(tmp_path)
+
+
 def test_wav_info_matches_header(tmp_path):
     buf = make_buffer(seconds=0.5)
     path = tmp_path / "x.wav"

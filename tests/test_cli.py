@@ -349,6 +349,13 @@ class TestTrainedRun:
         assert swept["ler"] == full["ler"]
         assert swept["utterances"] == full["utterances"]
 
+    @pytest.mark.parametrize("sizes", ["a,b", "-30", "0,10"])
+    def test_sweep_sizes_not_positive_counts_exit_1(self, trained_run, capsys, sizes):
+        rc = main(["sweep", "--config", str(trained_run["config"]), "--sizes", sizes])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_sweep_size_beyond_train_split_lists_maximum(self, trained_run, capsys):
         rc = main(["sweep", "--config", str(trained_run["config"]),
                    "--sizes", "5000"])
@@ -392,10 +399,15 @@ class TestTrainedRun:
         ("error-report", _replace("report-test.json", b"{}")),
         ("error-report", _truncate("report-test.json")),
         ("error-report", _replace("report-test.json", b"\xff\xfe")),
+        ("evaluate", _replace("run.json", b"[]")),
+        ("transcribe", _replace("run.json", b"{}")),
+        ("evaluate", _remove("manifest.jsonl")),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
-            "error-report-truncated-report", "error-report-binary-report"])
+            "error-report-truncated-report", "error-report-binary-report",
+            "evaluate-list-run-json", "transcribe-empty-run-json",
+            "evaluate-no-manifest"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import EXPECTED_DROPS, EXPECTED_KEPT, build_eaf
 from tinyasr.corpus import (
-    CleaningPolicy,
     RawAnnotation,
     build_corpus,
     clean_transcript,
@@ -46,6 +45,13 @@ class TestEafParsing:
         path = tmp_path / "dangling.eaf"
         path.write_text(eaf, encoding="utf-8")
         with pytest.raises(DataError, match="ts9"):
+            parse_eaf_subset(path)
+
+    def test_time_value_not_a_number_names_slot(self, tmp_path):
+        eaf = build_eaf([("a1", 1000, "abc", "x")])
+        path = tmp_path / "badtime.eaf"
+        path.write_text(eaf, encoding="utf-8")
+        with pytest.raises(DataError, match="time slot 'ts2'"):
             parse_eaf_subset(path)
 
     def test_malformed_xml_reports_position(self, tmp_path):
@@ -90,6 +96,15 @@ class TestManifestParsing:
         with pytest.raises(DataError, match="line 1"):
             parse_manifest(path)
 
+    def test_line_that_is_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(json.dumps({
+            "id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,
+            "transcript": "ej", "speaker": "KP",
+        }).encode("utf-8") + b"\n\xff\xfe\n")
+        with pytest.raises(DataError, match="m.jsonl line 2"):
+            parse_manifest(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("", encoding="utf-8")
@@ -131,10 +146,6 @@ class TestCleaning:
     def test_whitespace_collapsed(self):
         text, reason = clean_transcript("  ej   ku?pi ")
         assert (text, reason) == ("ej ku?pi", None)
-
-    def test_custom_unclear_marker(self):
-        policy = CleaningPolicy(unclear_markers=("???",))
-        assert clean_transcript("ej ??? ku?pi", policy)[1] == "unclear-marker"
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=40))

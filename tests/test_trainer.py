@@ -13,10 +13,8 @@ from tinyasr.training import (
     adam_step,
     check_feasible,
     clip_global_norm,
-    load_train_state,
     make_batches,
     rng_for,
-    save_train_state,
     split_corpus,
     train,
 )
@@ -145,26 +143,6 @@ class TestAdam:
             assert np.array_equal(current[name], params[name])
 
 
-class TestTrainState:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        state = AdamState(step=12,
-                          m={"w": rng.normal(size=(3, 2)), "b": rng.normal(size=3)},
-                          v={"w": rng.normal(size=(3, 2)) ** 2, "b": rng.normal(size=3) ** 2})
-        path = tmp_path / "state.bin"
-        save_train_state(path, state, seed=9, epoch=4, best_dev_ler=0.25,
-                         since_improvement=2)
-        loaded, header = load_train_state(path)
-        assert loaded.step == 12
-        assert header["seed"] == 9
-        assert header["epoch"] == 4
-        assert header["best_dev_ler"] == 0.25
-        assert header["epochs_since_improvement"] == 2
-        for name in state.m:
-            assert np.array_equal(loaded.m[name], state.m[name])
-            assert np.array_equal(loaded.v[name], state.v[name])
-
-
 class TestTrainConfig:
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(ConfigError):
@@ -217,7 +195,7 @@ class TestTrainLoop:
     def test_writes_log_and_checkpoint(self, tmp_path):
         result, run_dir = self.run(tmp_path)
         assert (run_dir / "checkpoint.bin").exists()
-        assert (run_dir / "train_state.bin").exists()
+        assert not (run_dir / "train_state.bin").exists()
         lines = (run_dir / "epochs.jsonl").read_text().splitlines()
         assert len(lines) == len(result.epochs)
         record = json.loads(lines[0])

@@ -92,10 +92,6 @@ class TestG2P:
         with pytest.raises(DataError, match="position 1"):
             rules.apply("ab")
 
-    def test_pass_through(self):
-        rules = G2PRuleSet([("a", "x")], pass_through=("b",))
-        assert rules.apply("ab") == ["x", "b"]
-
     def test_empty_source_rejected(self):
         with pytest.raises(ConfigError):
             G2PRuleSet([("", "x")])
@@ -105,6 +101,16 @@ class TestG2P:
         path.write_text("# comment\nī\tiː\nm\tm\n \t \n", encoding="utf-8")
         rules = G2PRuleSet.from_tsv(path)
         assert rules.apply("mī m") == ["m", "iː", " ", "m"]
+
+    def test_file_order_breaks_ties(self):
+        rules = G2PRuleSet([("a", "x"), ("ab", "Y"), ("a", "z")])
+        assert rules.apply("aab") == ["x", "Y"]
+
+    def test_from_tsv_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_bytes(b"a\ta\n\xff\tb\n")
+        with pytest.raises(DataError, match="rules.tsv line 2"):
+            G2PRuleSet.from_tsv(path)
 
     def test_output_never_longer_than_input(self):
         rules = G2PRuleSet([("ab", "X"), ("a", "a"), ("b", "b"), ("c", "c")])
@@ -150,6 +156,20 @@ class TestPauseBoundaries:
     def test_overlapping_words_rejected(self):
         with pytest.raises(DataError, match="overlap"):
             self.align([("w1", 0.5, 1.0), ("w2", 0.9, 1.5)])
+
+    @pytest.mark.parametrize("line", [
+        b"5",
+        b'{"id": "u1", "words": [{"start_s": 0.0, "end_s": 1.0}]}',
+        b'{"id": "u1", "words": 3}',
+        b'{"id": "u1", "words": [{"w": "a", "start_s": "x", "end_s": 1.0}]}',
+        b"\xff\xfe",
+    ], ids=["not-an-object", "word-without-w", "words-not-a-list", "time-not-a-number",
+            "not-utf8"])
+    def test_malformed_alignment_line_names_line(self, tmp_path, line):
+        path = tmp_path / "words.jsonl"
+        path.write_bytes(b'{"id": "u0", "words": []}\n' + line + b"\n")
+        with pytest.raises(DataError, match="words.jsonl line 2"):
+            load_alignments(path)
 
     def test_threshold_zero_equals_with_spaces(self, golden_corpus):
         manifest, _ = prepare_corpus_dir(golden_corpus)
