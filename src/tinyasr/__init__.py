@@ -10,8 +10,8 @@ from .corpus import (
     clean_transcript,
     filter_duration,
     parse_eaf_subset,
-    parse_manifest,
     prepare_corpus_dir,
+    read_manifest,
 )
 from .config import ExperimentConfig, load_experiment_config
 from .ctc import beam_decode, collapse, ctc_loss, greedy_decode

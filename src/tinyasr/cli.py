@@ -22,6 +22,14 @@ from .pipeline import (
 )
 
 
+def _beam_width(text) -> int:
+    """Type of --beam: a whole number of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"beam width must be a whole number >= 1, "
+                                         f"got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with its own code 2 on usage errors; bad usage is a
     # configuration error under this tool's exit-code contract
@@ -53,8 +61,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    row, report = evaluate_run(args.run, split=args.split, decoder=args.decoder,
-                               beam_width=args.beam)
+    beam_width = args.beam if args.decoder == "beam" else None
+    row, report = evaluate_run(args.run, split=args.split, beam_width=beam_width)
     print(f"split: {args.split}  micro LER: {report.ler:.6f}  "
           f"macro LER: {report.ler_macro:.6f}")
     print(emit_results_table([row]), end="")
@@ -69,7 +77,8 @@ def _cmd_transcribe(args) -> int:
             print(f"{path}\t{text}")
         else:
             failed += 1
-            print(f"error: {path}: {error}", file=sys.stderr)
+            named = error if path in error else f"{path}: {error}"
+            print(f"error: {named}", file=sys.stderr)
     return 2 if failed else 0
 
 
@@ -123,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True)
     p.add_argument("--split", default="test", choices=("train", "dev", "test"))
     p.add_argument("--decoder", default=None, choices=("greedy", "beam"))
-    p.add_argument("--beam", type=int, default=8)
+    p.add_argument("--beam", type=_beam_width, default=8)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("transcribe", help="decode WAV files with a trained run")
     p.add_argument("--run", required=True)
     p.add_argument("wav", nargs="+")
-    p.add_argument("--beam", type=int, default=None,
+    p.add_argument("--beam", type=_beam_width, default=None,
                    help="use prefix beam search with this width")
     p.set_defaults(func=_cmd_transcribe)
 

@@ -25,12 +25,12 @@ _TOP_TYPES = {
     "out_dir": str, "seed": int, "features": dict, "model": dict, "train": dict,
     "subset_sizes": list,
 }
-_FEATURE_TYPES = {f.name: f.type for f in fields(FeatureConfig)}
+FEATURE_TYPES = {f.name: f.type for f in fields(FeatureConfig)}
 _MODEL_TYPES = {"num_layers": int, "hidden_units": int}
 _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
 
 
-def _checked(section: dict, types: dict, where: str) -> dict:
+def check_section(section: dict, types: dict, where: str) -> dict:
     """Unknown keys and ill-typed values are errors. A JSON integer is a
     valid float; a boolean is no number."""
     for key, value in section.items():
@@ -94,7 +94,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
-    _checked(raw, _TOP_TYPES, "experiment config")
+    check_section(raw, _TOP_TYPES, "experiment config")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
@@ -110,7 +110,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
         return (Path(base_dir) / value).resolve()
 
     def section(name, types):
-        return _checked(raw.get(name, {}), types, f"{name} section")
+        return check_section(raw.get(name, {}), types, f"{name} section")
 
     model = section("model", _MODEL_TYPES)
     seed = raw.get("seed", 0)
@@ -123,7 +123,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
         alignments=path_of("alignments"),
         pause_gap_threshold=float(raw.get("pause_gap_threshold", DEFAULT_PAUSE_GAP_S)),
         out_dir=path_of("out_dir", "runs"),
-        features=FeatureConfig(**section("features", _FEATURE_TYPES)),
+        features=FeatureConfig(**section("features", FEATURE_TYPES)),
         model_layers=model.get("num_layers", 3),
         model_hidden=model.get("hidden_units", 250),
         train=TrainConfig(seed=seed, **section("train", _TRAIN_TYPES)),

@@ -11,7 +11,7 @@ import json
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .audio import wav_info
@@ -58,21 +58,9 @@ _WHITESPACE = re.compile(r"\s+")
 
 
 @dataclass
-class RawAnnotation:
-    """One time-aligned annotation before cleaning."""
-
-    tier_id: str
-    start_s: float
-    end_s: float
-    value: str
-    id: str | None = None
-    audio: str | None = None
-    speaker: str | None = None
-
-
-@dataclass
 class UtteranceRecord:
-    """One cleaned, duration-filtered utterance of the corpus."""
+    """One time-aligned utterance. Parsers return the raw transcript;
+    build_corpus keeps the cleaned, duration-filtered ones."""
 
     id: str
     audio: str
@@ -153,12 +141,14 @@ def filter_duration(duration_s: float):
     return None
 
 
-def parse_eaf_subset(path) -> list:
-    """Parse the supported ELAN-EAF subset into raw annotations.
+def parse_eaf_subset(path, tier=None) -> list:
+    """Parse the supported ELAN-EAF subset into uncleaned records.
 
     Reads TIME_ORDER/TIME_SLOT (TIME_VALUE in ms) and every
-    ALIGNABLE_ANNOTATION of every TIER. Annotation ids are prefixed with
-    the file stem.
+    ALIGNABLE_ANNOTATION of every TIER, or of the named tier only. Record
+    ids are prefixed with the file stem, and the audio is the same-stem
+    WAV. An annotation without an id is numbered by its position among all
+    annotations of the file.
     """
     path = Path(path)
     try:
@@ -188,27 +178,29 @@ def parse_eaf_subset(path) -> list:
             )
         return slots[ref] / 1000.0
 
-    annotations = []
-    for tier in root.iter("TIER"):
-        tier_id = tier.get("TIER_ID", "")
-        speaker = tier.get("PARTICIPANT") or tier_id
-        for ann in tier.iter("ALIGNABLE_ANNOTATION"):
-            ann_id = ann.get("ANNOTATION_ID", f"a{len(annotations) + 1}")
+    records = []
+    count = 0
+    for tier_el in root.iter("TIER"):
+        tier_id = tier_el.get("TIER_ID", "")
+        speaker = tier_el.get("PARTICIPANT") or tier_id
+        for ann in tier_el.iter("ALIGNABLE_ANNOTATION"):
+            count += 1
+            ann_id = ann.get("ANNOTATION_ID", f"a{count}")
             start_s = resolve(ann.get("TIME_SLOT_REF1"), ann_id)
             end_s = resolve(ann.get("TIME_SLOT_REF2"), ann_id)
+            if tier is not None and tier_id != tier:
+                continue
             value_el = ann.find("ANNOTATION_VALUE")
             value = value_el.text if value_el is not None and value_el.text else ""
-            annotations.append(
-                RawAnnotation(
-                    tier_id=tier_id,
-                    start_s=start_s,
-                    end_s=end_s,
-                    value=value,
-                    id=f"{path.stem}_{ann_id}",
-                    speaker=speaker,
-                )
-            )
-    return annotations
+            records.append(UtteranceRecord(
+                id=f"{path.stem}_{ann_id}",
+                audio=path.with_suffix(".wav").name,
+                start_s=start_s,
+                end_s=end_s,
+                transcript=value,
+                speaker=speaker,
+            ))
+    return records
 
 
 def text_lines(path):
@@ -244,72 +236,30 @@ def read_json_lines(path):
         yield lineno, row
 
 
-def parse_manifest(path) -> list:
-    """Parse a JSON-lines manifest into raw annotations, preserving order."""
-    name = Path(path).name
-    annotations = []
-    for lineno, row in read_json_lines(path):
-        for key in _MANIFEST_KEYS:
-            if key not in row:
-                raise DataError(f"{name} line {lineno}: missing key '{key}'")
-        start_s, end_s = row["start_s"], row["end_s"]
-        if not isinstance(start_s, (int, float)) or not isinstance(end_s, (int, float)):
-            raise DataError(f"{name} line {lineno}: start_s/end_s must be numbers")
-        if start_s >= end_s:
-            raise DataError(
-                f"{name} line {lineno}: start_s {start_s} is not before end_s {end_s}"
-            )
-        annotations.append(
-            RawAnnotation(
-                tier_id=str(row.get("tier", "")),
-                start_s=float(start_s),
-                end_s=float(end_s),
-                value=str(row["transcript"]),
-                id=str(row["id"]),
-                audio=str(row["audio"]),
-                speaker=str(row["speaker"]),
-            )
-        )
-    return annotations
-
-
-def build_corpus(annotations):
-    """Apply cleaning and duration rules to raw annotations.
+def build_corpus(records):
+    """Apply cleaning and duration rules to uncleaned records.
 
     Returns (records, rejections, stats); rejections are {id, reason} dicts.
-    kept + sum(dropped per reason) always equals len(annotations).
+    kept + sum(dropped per reason) always equals len(records).
     """
-    stats = CorpusStats(total=len(annotations))
-    records, rejections = [], []
+    stats = CorpusStats(total=len(records))
+    kept, rejections = [], []
     seen_ids = set()
-    for index, ann in enumerate(annotations):
-        utt_id = ann.id or f"utt{index:05d}"
-        if utt_id in seen_ids:
-            raise DataError(f"duplicate utterance id '{utt_id}'")
-        seen_ids.add(utt_id)
+    for record in records:
+        if record.id in seen_ids:
+            raise DataError(f"duplicate utterance id '{record.id}'")
+        seen_ids.add(record.id)
 
-        cleaned, reason = clean_transcript(ann.value)
+        cleaned, reason = clean_transcript(record.transcript)
         if reason is None:
-            reason = filter_duration(ann.end_s - ann.start_s)
+            reason = filter_duration(record.end_s - record.start_s)
         if reason is not None:
             stats.drop(reason)
-            rejections.append({"id": utt_id, "reason": reason})
+            rejections.append({"id": record.id, "reason": reason})
             continue
-
-        if ann.audio is None:
-            raise DataError(f"utterance '{utt_id}' has no audio reference")
-        records.append(
-            UtteranceRecord(
-                id=utt_id,
-                audio=ann.audio,
-                start_s=ann.start_s,
-                end_s=ann.end_s,
-                transcript=cleaned,
-                speaker=ann.speaker or ann.tier_id,
-            )
-        )
+        kept.append(replace(record, transcript=cleaned))
         stats.kept += 1
-    return records, rejections, stats
+    return kept, rejections, stats
 
 
 def prepare_corpus_dir(corpus_dir, tier=None):
@@ -328,16 +278,11 @@ def prepare_corpus_dir(corpus_dir, tier=None):
         wav_path = eaf_path.with_suffix(".wav")
         if not wav_path.exists():
             raise DataError(f"no audio file for {eaf_path.name} (expected {wav_path.name})")
-        parsed = parse_eaf_subset(eaf_path)
-        for ann in parsed:
-            if tier is not None and ann.tier_id != tier:
-                continue
-            ann.audio = wav_path.name
-            annotations.append(ann)
+        annotations.extend(parse_eaf_subset(eaf_path, tier))
     for jsonl_path in sorted(corpus_dir.glob("*.jsonl")):
         if jsonl_path.name == "words.jsonl":  # word alignments, not a manifest
             continue
-        annotations.extend(parse_manifest(jsonl_path))
+        annotations.extend(read_manifest(jsonl_path))
     if not annotations:
         raise DataError(f"no annotations found under {corpus_dir}")
 
@@ -389,19 +334,31 @@ def write_manifest(records, path) -> None:
 
 
 def read_manifest(path) -> list:
-    """Read a canonical manifest back into UtteranceRecords."""
+    """Read a JSON-lines manifest into UtteranceRecords, preserving order.
+    An empty speaker falls back to the line's tier, if it has one."""
+    name = Path(path).name
     records = []
-    for ann in parse_manifest(path):
-        records.append(
-            UtteranceRecord(
-                id=ann.id,
-                audio=ann.audio,
-                start_s=ann.start_s,
-                end_s=ann.end_s,
-                transcript=ann.value,
-                speaker=ann.speaker,
+    for lineno, row in read_json_lines(path):
+        for key in _MANIFEST_KEYS:
+            if key not in row:
+                raise DataError(f"{name} line {lineno}: missing key '{key}'")
+        if row["id"] == "":
+            raise DataError(f"{name} line {lineno}: empty utterance id")
+        start_s, end_s = row["start_s"], row["end_s"]
+        if not isinstance(start_s, (int, float)) or not isinstance(end_s, (int, float)):
+            raise DataError(f"{name} line {lineno}: start_s/end_s must be numbers")
+        if start_s >= end_s:
+            raise DataError(
+                f"{name} line {lineno}: start_s {start_s} is not before end_s {end_s}"
             )
-        )
+        records.append(UtteranceRecord(
+            id=str(row["id"]),
+            audio=str(row["audio"]),
+            start_s=float(start_s),
+            end_s=float(end_s),
+            transcript=str(row["transcript"]),
+            speaker=str(row["speaker"]) or str(row.get("tier", "")),
+        ))
     return records
 
 

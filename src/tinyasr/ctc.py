@@ -63,24 +63,12 @@ def _check_target(target, n_labels):
             raise DataError(f"target label {label} outside [1, {n_labels - 1}]")
 
 
-def ctc_loss(logits, target) -> CTCResult:
-    """Negative log-likelihood of the target under the logits, with the
-    exact gradient, via the log-space forward-backward recursion over the
-    blank-extended target."""
-    logits = np.asarray(logits, dtype=np.float64)
-    T, K = logits.shape
-    target = list(target)
-    _check_target(target, K)
-    need = min_frames(target)
-    if T < need:
-        raise DataError(
-            f"CTC-infeasible target: {T} frames cannot emit {len(target)} labels "
-            f"(needs at least {need})"
-        )
-
-    lp = log_softmax(logits)
-    ext = _extended(target)
-    S = len(ext)
+def _log_alpha(lp, ext):
+    """Log-space forward variables (T, S) of the blank-extended target
+    ext under the per-frame log-probabilities lp. alpha[t, s] includes the
+    emission at t. Run on both sequences reversed, it gives the backward
+    variables, reversed."""
+    T, S = lp.shape[0], len(ext)
     emit = lp[:, ext]  # (T, S)
 
     # skip transition s-2 -> s exists unless it would jump over a needed
@@ -99,28 +87,32 @@ def ctc_loss(logits, target) -> CTCResult:
         shift2 = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
         shift2 = np.where(can_skip, shift2, NEG_INF)
         alpha[t] = np.logaddexp(np.logaddexp(prev, shift1), shift2) + emit[t]
+    return alpha
 
-    log_p = alpha[T - 1, S - 1]
-    if S > 1:
-        log_p = np.logaddexp(log_p, alpha[T - 1, S - 2])
 
-    # beta includes the emission at t, so alpha + beta - emit is the total
-    # log-probability of complete paths that pass through (t, s)
-    can_skip_from = np.zeros(S, dtype=bool)
-    if S > 2:
-        can_skip_from[:-2] = can_skip[2:]
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = emit[T - 1, S - 1]
-    if S > 1:
-        beta[T - 1, S - 2] = emit[T - 1, S - 2]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        shift1 = np.concatenate((nxt[1:], [NEG_INF]))
-        shift2 = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-        shift2 = np.where(can_skip_from, shift2, NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(nxt, shift1), shift2) + emit[t]
+def ctc_loss(logits, target) -> CTCResult:
+    """Negative log-likelihood of the target under the logits, with the
+    exact gradient, via the log-space forward-backward recursion over the
+    blank-extended target."""
+    logits = np.asarray(logits, dtype=np.float64)
+    T, K = logits.shape
+    target = list(target)
+    _check_target(target, K)
+    need = min_frames(target)
+    if T < need:
+        raise DataError(
+            f"CTC-infeasible target: {T} frames cannot emit {len(target)} labels "
+            f"(needs at least {need})"
+        )
 
-    gamma = alpha + beta - emit
+    lp = log_softmax(logits)
+    ext = _extended(target)
+    alpha = _log_alpha(lp, ext)
+    log_p = np.logaddexp.reduce(alpha[-1, -2:])  # end on the last label or blank
+    # beta includes the emission at t, as alpha does, so alpha + beta - emit
+    # is the total log-probability of complete paths that pass through (t, s)
+    beta = _log_alpha(lp[::-1], ext[::-1])[::-1, ::-1]
+    gamma = alpha + beta - lp[:, ext]
     occupancy = np.full((T, K), NEG_INF)
     for k in set(ext.tolist()):
         cols = gamma[:, ext == k]
@@ -129,15 +121,21 @@ def ctc_loss(logits, target) -> CTCResult:
     return CTCResult(loss=float(-log_p), grad=grad)
 
 
+def _sequence_log_prob(lp, labels) -> float:
+    if lp.shape[0] < min_frames(labels):
+        return NEG_INF
+    if len(labels) == 0:
+        return float(lp[:, BLANK_ID].sum())
+    return float(np.logaddexp.reduce(_log_alpha(lp, _extended(labels))[-1, -2:]))
+
+
 def sequence_log_prob(logits, labels) -> float:
     """Total log-probability of all paths collapsing to the label
     sequence; -inf if the sequence cannot be emitted in T frames."""
-    T = np.asarray(logits).shape[0]
-    if T < min_frames(labels):
-        return NEG_INF
-    if len(labels) == 0:
-        return float(log_softmax(np.asarray(logits, dtype=np.float64))[:, BLANK_ID].sum())
-    return -ctc_loss(logits, labels).loss
+    lp = log_softmax(np.asarray(logits, dtype=np.float64))
+    labels = list(labels)
+    _check_target(labels, lp.shape[1])
+    return _sequence_log_prob(lp, labels)
 
 
 def greedy_decode(logits) -> DecodedSequence:
@@ -159,8 +157,7 @@ def beam_decode(logits, beam_width: int) -> DecodedSequence:
     the decoder never scores under best-path decoding."""
     if beam_width < 1:
         raise DataError(f"beam width must be >= 1, got {beam_width}")
-    logits = np.asarray(logits, dtype=np.float64)
-    lp = log_softmax(logits)
+    lp = log_softmax(np.asarray(logits, dtype=np.float64))
     T, K = lp.shape
 
     # prefix -> [log p ending in blank, log p ending in non-blank]
@@ -187,14 +184,10 @@ def beam_decode(logits, beam_width: int) -> DecodedSequence:
         )
         beams = dict(ranked[:beam_width])
 
-    best = sorted(
-        beams.items(),
-        key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
-    )[0]
-    labels = list(best[0])
-    score = sequence_log_prob(logits, labels)
-    greedy = greedy_decode(logits)
-    greedy_score = sequence_log_prob(logits, greedy.labels)
+    labels = list(next(iter(beams)))  # beams stay in rank order
+    score = _sequence_log_prob(lp, labels)
+    greedy = collapse(lp.argmax(axis=1))
+    greedy_score = _sequence_log_prob(lp, greedy)
     if greedy_score > score:
-        return DecodedSequence(labels=greedy.labels, score=greedy_score)
+        return DecodedSequence(labels=greedy, score=greedy_score)
     return DecodedSequence(labels=labels, score=score)

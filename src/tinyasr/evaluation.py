@@ -61,17 +61,10 @@ def align_and_count_confusions(ref, hyp) -> Counter:
 
 def corpus_ler(pairs, ids=None) -> float:
     """Micro-averaged label error rate over (ref, hyp) sequence pairs."""
-    if not pairs:
-        raise DataError("cannot compute LER of an empty pair list")
-    total_distance = 0
-    total_length = 0
-    for index, (ref, hyp) in enumerate(pairs):
-        if len(ref) == 0:
-            name = ids[index] if ids is not None else f"#{index}"
-            raise DataError(f"utterance {name} has an empty reference")
-        total_distance += edit_distance(ref, hyp)
-        total_length += len(ref)
-    return total_distance / total_length
+    if ids is None:
+        ids = [f"#{index}" for index in range(len(pairs))]
+    return build_report([(i, ref, hyp, None) for i, (ref, hyp) in zip(ids, pairs)],
+                        "").ler
 
 
 @dataclass

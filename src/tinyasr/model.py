@@ -309,7 +309,8 @@ def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
 
 def load_checkpoint(path):
     """Returns (parameters, vocabulary). A missing, truncated or garbled
-    checkpoint is a DataError."""
+    checkpoint, or one whose tensor list or vocabulary does not fit its
+    model config, is a DataError."""
     try:
         with open(path, "rb") as fh:
             if fh.read(8) != CHECKPOINT_MAGIC:
@@ -318,17 +319,22 @@ def load_checkpoint(path):
             if version != CONTAINER_VERSION:
                 raise DataError(f"{path}: unsupported container version {version}")
             header = json.loads(fh.read(header_len).decode("utf-8"))
-            if "tensors" not in header:
-                raise DataError(f"{path}: container header lists no tensors")
+            config = ModelConfig(**header["config"])
+            shapes = parameter_shapes(config)
+            if header["tensors"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
+                raise DataError(f"{path}: tensor list does not match the model config")
             tensors = {}
-            for entry in header["tensors"]:
-                shape = tuple(entry["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-                tensors[entry["name"]] = data.reshape(shape).copy()
+            for name, shape in shapes.items():
+                data = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8")
+                tensors[name] = data.reshape(shape).copy()
+            vocabulary = header["vocabulary"]
+            if not (isinstance(vocabulary, list) and len(vocabulary) == config.output_dim
+                    and all(isinstance(label, str) for label in vocabulary)):
+                raise DataError(f"{path}: vocabulary does not match the model config")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: truncated or garbled ({exc})") from exc
-    config = ModelConfig(**header["config"])
-    return ModelParameters(config, tensors), header["vocabulary"]
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: not a checkpoint header ({exc!r})") from exc
+    return ModelParameters(config, tensors), vocabulary

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio import read_wav, slice_audio
-from .config import ExperimentConfig, check_sizes
+from .config import FEATURE_TYPES, ExperimentConfig, check_section, check_sizes
 from .corpus import read_manifest, write_manifest
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import build_report, confusion_report, report_to_json
@@ -30,9 +30,10 @@ from .variants import (
 )
 
 RUN_FILE = "run.json"
-# what evaluate and transcribe read back from a run record
-_RUN_KEYS = ("experiment", "variant", "audio_root", "pause_gap_threshold",
-             "feature_config", "splits")
+# what evaluate and transcribe read back from a run record, by type
+_RUN_TYPES = {"experiment": str, "variant": str, "audio_root": str,
+              "pause_gap_threshold": float, "feature_config": dict, "splits": dict,
+              "subset": list | None}
 
 
 @contextmanager
@@ -194,7 +195,6 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "variant": config.variant,
         "seed": config.seed,
         "fast": fast,
-        "decoder": "greedy",
         "audio_root": str(corpus.audio_root),
         "pause_gap_threshold": config.pause_gap_threshold,
         "feature_config": asdict(config.features),
@@ -241,6 +241,8 @@ def _write_run_info(run_dir: Path, info: dict) -> None:
 
 
 def _read_run_info(run_dir) -> dict:
+    """The run record of a run directory, checked for every key that
+    evaluate and transcribe read and for the type of its value."""
     path = Path(run_dir) / RUN_FILE
     if not path.exists():
         raise DataError(f"not a run directory (no {RUN_FILE}): {run_dir}")
@@ -248,8 +250,18 @@ def _read_run_info(run_dir) -> dict:
         info = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}: unreadable ({exc})") from exc
-    if not isinstance(info, dict) or any(key not in info for key in _RUN_KEYS):
-        raise DataError(f"{path}: not a run record (needs {', '.join(_RUN_KEYS)})")
+    if not isinstance(info, dict) or any(key not in info for key in _RUN_TYPES):
+        raise DataError(f"{path}: not a run record (needs {', '.join(_RUN_TYPES)})")
+    try:
+        check_section({key: info[key] for key in _RUN_TYPES}, _RUN_TYPES, RUN_FILE)
+        check_section(info["feature_config"], FEATURE_TYPES, "feature_config")
+        id_lists = [*info["splits"].values(), info["subset"] or []]
+        if sorted(info["splits"]) != ["dev", "test", "train"] or not all(
+                isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                for ids in id_lists):
+            raise ConfigError("splits and subset must list utterance ids")
+    except ConfigError as exc:
+        raise DataError(f"{path}: not a run record ({exc})") from exc
     return info
 
 
@@ -285,17 +297,16 @@ def _load_split(run_dir, run_info, split, vocab, feature_config):
 
 
 def _report_split(run_dir, run_info, split, params, vocab, items, records,
-                  decoder=None, beam_width=8):
-    """Decode a split's items, write report-<split>.{json,txt}, and return
-    the results row and the report."""
-    decoder = decoder or run_info.get("decoder", "greedy")
-    beam = beam_width if decoder == "beam" else None
+                  beam_width=None):
+    """Decode a split's items (greedy, or prefix beam search when
+    beam_width is set), write report-<split>.{json,txt}, and return the
+    results row and the report."""
     entries = []
     for item in items:
-        labels = decode(params, item.features, beam).labels
+        labels = decode(params, item.features, beam_width).labels
         entries.append((item.id, tuple(vocab.labels[i] for i in item.target),
                         tuple(vocab.labels[i] for i in labels), vocab.decode(labels)))
-    report = build_report(entries, decoder)
+    report = build_report(entries, "greedy" if beam_width is None else "beam")
 
     (run_dir / f"report-{split}.json").write_text(report_to_json(report) + "\n",
                                                   encoding="utf-8")
@@ -306,21 +317,22 @@ def _report_split(run_dir, run_info, split, params, vocab, items, records,
         encoding="utf-8",
     )
 
-    train_ids = run_info["subset"] if run_info.get("subset") is not None \
+    train_ids = run_info["subset"] if run_info["subset"] is not None \
         else run_info["splits"]["train"]
     minutes = sum(records[i].duration for i in train_ids) / 60.0
     row = ResultsRow(run_info["experiment"], len(train_ids), minutes, report.ler)
     return row, report
 
 
-def evaluate_run(run_dir, split="test", decoder=None, beam_width=8):
-    """Re-evaluate a finished run from its directory alone."""
+def evaluate_run(run_dir, split="test", beam_width=None):
+    """Re-evaluate a finished run from its directory alone, decoding
+    greedily or, when beam_width is set, by prefix beam search."""
     run_dir = Path(run_dir)
     run_info = _read_run_info(run_dir)
     params, vocab, feature_config = _load_run_model(run_dir, run_info)
     items, records = _load_split(run_dir, run_info, split, vocab, feature_config)
     return _report_split(run_dir, run_info, split, params, vocab, items, records,
-                         decoder, beam_width)
+                         beam_width)
 
 
 def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
@@ -378,7 +390,7 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
                 raise DataError(f"file not found: {wav_path}")
             audio = read_wav(wav_path)
             matrix = extract_features(audio, feature_config)
-            decoded = decode(params, matrix.frames, beam_width or None)
+            decoded = decode(params, matrix.frames, beam_width)
             text = vocab.decode(decoded.labels)
             wav_path.with_suffix(".txt").write_text(text + "\n", encoding="utf-8")
             outputs.append((str(wav_path), text, None))

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,27 @@ def _truncate(name, size=None):
 
 def _replace(name, data):
     return lambda run: (run / name).write_bytes(data)
+
+
+def _set_run_key(key, value):
+    def damage(run):
+        info = json.loads((run / "run.json").read_text())
+        info[key] = value
+        (run / "run.json").write_text(json.dumps(info))
+    return damage
+
+
+def _edit_checkpoint_header(edit):
+    """Rewrite the JSON header of checkpoint.bin with edit(header)."""
+    def damage(run):
+        data = (run / "checkpoint.bin").read_bytes()
+        version, length = struct.unpack("<II", data[8:16])
+        header = json.loads(data[16:16 + length])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        (run / "checkpoint.bin").write_bytes(
+            data[:8] + struct.pack("<II", version, len(blob)) + blob + data[16 + length:])
+    return damage
 
 
 class TestResultsTable:
@@ -220,6 +242,8 @@ class TestTrainedRun:
         for name in ("run.json", "manifest.jsonl", "checkpoint.bin",
                      "epochs.jsonl", "report-test.json", "report-test.txt"):
             assert (run / name).exists(), name
+        # the decoder is chosen per evaluate call, not recorded with the run
+        assert "decoder" not in json.loads((run / "run.json").read_text())
 
     def test_evaluate_reproduces_results_row(self, trained_run):
         results = [json.loads(l) for l in
@@ -310,6 +334,31 @@ class TestTrainedRun:
         assert main(["transcribe", "--run", str(run), str(wav), "--beam", "4"]) == 0
         out = capsys.readouterr().out
         assert manifest[utt_id]["transcript"].replace(" ", "") in out
+
+    @pytest.mark.parametrize("argv", [
+        ["transcribe", "--beam", "0"],
+        ["transcribe", "--beam", "-2"],
+        ["transcribe", "--beam", "x"],
+        ["evaluate", "--decoder", "beam", "--beam", "0"],
+    ], ids=["transcribe-0", "transcribe-negative", "transcribe-text", "evaluate-0"])
+    def test_beam_width_below_1_exits_1(self, trained_run, tmp_path, capsys, argv):
+        argv = argv + ["--run", str(trained_run["run"])]
+        if argv[0] == "transcribe":
+            wav = tmp_path / "hush.wav"
+            write_wav(wav, AudioBuffer(np.zeros(16000), 16000))
+            argv.append(str(wav))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "beam width" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_transcribe_directory_named_once(self, trained_run, tmp_path, capsys):
+        folder = tmp_path / "folder.wav"
+        folder.mkdir()
+        assert main(["transcribe", "--run", str(trained_run["run"]), str(folder)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {folder}: ")
+        assert err.count(f"{folder}:") == 1
 
     def test_transcribe_missing_file_continues_and_exits_2(self, trained_run,
                                                            tmp_path, capsys):
@@ -402,12 +451,22 @@ class TestTrainedRun:
         ("evaluate", _replace("run.json", b"[]")),
         ("transcribe", _replace("run.json", b"{}")),
         ("evaluate", _remove("manifest.jsonl")),
+        ("evaluate", _set_run_key("splits", 5)),
+        ("transcribe", _set_run_key("feature_config", 5)),
+        ("evaluate", _edit_checkpoint_header(lambda h: h.pop("config"))),
+        ("transcribe", _edit_checkpoint_header(
+            lambda h: h["config"].update(input_dim="x"))),
+        ("evaluate", _edit_checkpoint_header(lambda h: h["tensors"][0].pop("shape"))),
+        ("evaluate", _edit_checkpoint_header(lambda h: h.update(vocabulary=5))),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
             "error-report-truncated-report", "error-report-binary-report",
             "evaluate-list-run-json", "transcribe-empty-run-json",
-            "evaluate-no-manifest"])
+            "evaluate-no-manifest", "evaluate-int-splits",
+            "transcribe-int-feature-config", "evaluate-header-without-config",
+            "transcribe-text-input-dim", "evaluate-tensor-without-shape",
+            "evaluate-int-vocabulary"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"

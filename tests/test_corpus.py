@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import EXPECTED_DROPS, EXPECTED_KEPT, build_eaf
 from tinyasr.corpus import (
-    RawAnnotation,
+    UtteranceRecord,
     build_corpus,
     clean_transcript,
     filter_duration,
     manifest_line,
     parse_eaf_subset,
-    parse_manifest,
     prepare_corpus_dir,
     read_manifest,
     stats_table,
@@ -30,7 +29,7 @@ class TestEafParsing:
         assert len(anns) == 1
         assert anns[0].start_s == 1.0
         assert anns[0].end_s == 2.5
-        assert anns[0].value == "ej ku?pi"
+        assert anns[0].transcript == "ej ku?pi"
         assert anns[0].id == "one_a1"
         assert anns[0].speaker == "KP"
 
@@ -54,6 +53,22 @@ class TestEafParsing:
         with pytest.raises(DataError, match="time slot 'ts2'"):
             parse_eaf_subset(path)
 
+    def test_tier_filter_keeps_numbering_and_checks_skipped_tiers(self, tmp_path):
+        eaf = build_eaf([("a1", 1000, 2500, "ej")]).replace(
+            'ANNOTATION_ID="a1" ', "")
+        other = eaf[eaf.index("  <TIER"):eaf.index("</ANNOTATION_DOCUMENT>")]
+        eaf = eaf.replace(other, other.replace('TIER_ID="ref"', 'TIER_ID="other"')
+                          + other)
+        path = tmp_path / "two.eaf"
+        path.write_text(eaf, encoding="utf-8")
+        assert [r.id for r in parse_eaf_subset(path)] == ["two_a1", "two_a2"]
+        (record,) = parse_eaf_subset(path, tier="ref")
+        assert (record.id, record.audio) == ("two_a2", "two.wav")
+        path.write_text(eaf.replace('TIME_SLOT_REF2="ts2"', 'TIME_SLOT_REF2="ts9"', 1),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="ts9"):
+            parse_eaf_subset(path, tier="ref")
+
     def test_malformed_xml_reports_position(self, tmp_path):
         path = tmp_path / "broken.eaf"
         path.write_text("<ANNOTATION_DOCUMENT><TIER>", encoding="utf-8")
@@ -68,7 +83,7 @@ class TestManifestParsing:
             "id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,
             "transcript": "ej", "speaker": "KP",
         }) + "\n", encoding="utf-8")
-        anns = parse_manifest(path)
+        anns = read_manifest(path)
         assert len(anns) == 1 and anns[0].id == "u1"
 
     def test_missing_key_names_line(self, tmp_path):
@@ -79,7 +94,7 @@ class TestManifestParsing:
         path.write_text(json.dumps(row) + "\n" + json.dumps(bad) + "\n",
                         encoding="utf-8")
         with pytest.raises(DataError, match="line 2.*speaker"):
-            parse_manifest(path)
+            read_manifest(path)
 
     def test_inverted_range_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -88,13 +103,13 @@ class TestManifestParsing:
             "transcript": "ej", "speaker": "KP",
         }) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="before"):
-            parse_manifest(path)
+            read_manifest(path)
 
     def test_line_that_is_not_an_object_names_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("5\n")
         with pytest.raises(DataError, match="line 1"):
-            parse_manifest(path)
+            read_manifest(path)
 
     def test_line_that_is_not_utf8_names_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -103,12 +118,29 @@ class TestManifestParsing:
             "transcript": "ej", "speaker": "KP",
         }).encode("utf-8") + b"\n\xff\xfe\n")
         with pytest.raises(DataError, match="m.jsonl line 2"):
-            parse_manifest(path)
+            read_manifest(path)
+
+    def test_empty_id_names_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        row = {"id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,
+               "transcript": "ej", "speaker": "KP"}
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "id": ""}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="m.jsonl line 2: empty utterance id"):
+            read_manifest(path)
+
+    def test_empty_speaker_falls_back_to_tier(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({
+            "id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,
+            "transcript": "ej", "speaker": "", "tier": "ref",
+        }) + "\n", encoding="utf-8")
+        assert read_manifest(path)[0].speaker == "ref"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("", encoding="utf-8")
-        assert parse_manifest(path) == []
+        assert read_manifest(path) == []
 
 
 class TestCleaning:
@@ -174,9 +206,9 @@ class TestDurationFilter:
 class TestBuildCorpus:
     def annotations(self):
         return [
-            RawAnnotation("ref", 0.0, 1.0, "ej ku?pi", id="u1", audio="a.wav", speaker="KP"),
-            RawAnnotation("ref", 1.0, 1.2, "ej", id="u2", audio="a.wav", speaker="KP"),
-            RawAnnotation("ref", 2.0, 3.0, "...", id="u3", audio="a.wav", speaker="KP"),
+            UtteranceRecord("u1", "a.wav", 0.0, 1.0, "ej ku?pi", "KP"),
+            UtteranceRecord("u2", "a.wav", 1.0, 1.2, "ej", "KP"),
+            UtteranceRecord("u3", "a.wav", 2.0, 3.0, "...", "KP"),
         ]
 
     def test_counts_balance(self):
