@@ -17,7 +17,7 @@ from .config import ExperimentConfig, load_experiment_config
 from .ctc import beam_decode, collapse, ctc_loss, greedy_decode
 from .evaluation import confusion_report, corpus_ler, edit_distance
 from .features import FeatureConfig, FeatureMatrix, extract_features
-from .model import ModelConfig, forward, init_parameters, load_checkpoint
+from .model import ModelConfig, decode, init_parameters, load_checkpoint
 from .pipeline import (
     ResultsRow,
     augmentation_sweep,

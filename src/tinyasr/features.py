@@ -5,6 +5,7 @@ filterbank energies plus frame energy, log compression, delta and
 delta-delta appendage, per-utterance mean/variance normalization.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,16 @@ class FeatureConfig:
     append_energy: bool = True
     deltas: bool = True
     cmvn: bool = True
+
+    def __post_init__(self):
+        if self.sample_rate < 1 or self.n_mels < 1:
+            raise ConfigError("sample_rate and n_mels must be at least 1")
+        for key in ("frame_length_s", "frame_shift_s"):
+            seconds = getattr(self, key)
+            if not math.isfinite(seconds) or round(seconds * self.sample_rate) < 1:
+                raise ConfigError(f"{key} {seconds} is shorter than one sample")
+        if not self.log_floor > 0:
+            raise ConfigError("log_floor must be positive")
 
     @property
     def frame_length(self) -> int:

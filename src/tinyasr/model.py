@@ -1,10 +1,11 @@
 """Bidirectional LSTM stack mapping feature frames to per-frame label logits.
 
 Forward and backward passes are implemented directly in numpy (float64),
-with exact backpropagation through time. Batches are padded to the longest
-utterance; the backward direction reverses each row within its true length
-so padding always sits at the processing tail and never touches valid
-frames, in either pass.
+with exact backpropagation through time. The two directions of a layer run
+in one time loop, stacked on a leading axis of 2. Batches are padded to the
+longest utterance; the backward direction reverses each row within its true
+length so padding always sits at the processing tail and never touches
+valid frames, in either pass.
 """
 
 import json
@@ -103,49 +104,52 @@ def _reverse_padded(x, lengths):
     return out
 
 
-class _DirectionCache:
-    __slots__ = ("inputs", "i", "f", "g", "o", "c", "tc", "h")
-
-
 class ForwardCache:
-    """Everything the backward pass needs, tied to the parameters used."""
+    """Everything the backward pass needs, tied to the parameters used.
+
+    Per layer, a tuple (xs, gates, cs, hs) with a leading axis of 2 for the
+    fwd and bwd directions, each in its own processing order: the layer
+    inputs (2, B, T, D), the gate activations i, f, g, o (2, B, T, 4H), and
+    the cell and hidden states (2, B, T, H)."""
 
     def __init__(self, params, lengths):
         self.params = params
         self.lengths = lengths
-        self.layers = []  # per layer: {"fwd": _DirectionCache, "bwd": ...}
+        self.layers = []
         self.top = None
 
 
-def _run_direction(params, prefix, x, lengths, reverse):
-    W, R, b = params[f"{prefix}.W"], params[f"{prefix}.R"], params[f"{prefix}.b"]
+def _stacked(params, layer, name):
+    """One layer's fwd and bwd tensor of a name, stacked on a leading axis."""
+    return np.stack([params[f"layer{layer}.{d}.{name}"] for d in DIRECTIONS])
+
+
+def _layer_forward(params, layer, x, lengths):
+    """Both directions of one layer in a single time loop. Returns the
+    layer output (B, T, 2H), padded tails zeroed, and its cache entry."""
+    Wt = _stacked(params, layer, "W").transpose(0, 2, 1)
+    Rt = _stacked(params, layer, "R").transpose(0, 2, 1)
+    b = _stacked(params, layer, "b")[:, None]
     B, T, _ = x.shape
-    H = R.shape[1]
-    xp = _reverse_padded(x, lengths) if reverse else x
+    H = Rt.shape[1]
+    xs = np.stack([x, _reverse_padded(x, lengths)])
 
-    cache = _DirectionCache()
-    cache.inputs = xp
-    for name in ("i", "f", "g", "o", "c", "tc", "h"):
-        setattr(cache, name, np.zeros((B, T, H)))
-
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    gates = np.zeros((2, B, T, 4 * H))
+    cs = np.zeros((2, B, T, H))
+    hs = np.zeros((2, B, T, H))
+    h = c = np.zeros((2, B, H))
     for t in range(T):
-        z = xp[:, t] @ W.T + h @ R.T + b
-        gi = _sigmoid(z[:, :H])
-        gf = _sigmoid(z[:, H:2 * H])
-        gg = np.tanh(z[:, 2 * H:3 * H])
-        go = _sigmoid(z[:, 3 * H:])
+        z = xs[:, :, t] @ Wt + h @ Rt + b
+        gi, gf, gg, go = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
+        gi[...], gf[...], gg[...], go[...] = _sigmoid(gi), _sigmoid(gf), np.tanh(gg), _sigmoid(go)
         c = gf * c + gi * gg
-        tc = np.tanh(c)
-        h = go * tc
-        cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t] = gi, gf, gg, go
-        cache.c[:, t], cache.tc[:, t], cache.h[:, t] = c, tc, h
+        h = go * np.tanh(c)
+        gates[:, :, t], cs[:, :, t], hs[:, :, t] = z, c, h
 
-    out = _reverse_padded(cache.h, lengths) if reverse else cache.h.copy()
+    out = np.concatenate([hs[0], _reverse_padded(hs[1], lengths)], axis=2)
     for b_idx, length in enumerate(lengths):
         out[b_idx, length:] = 0.0
-    return out, cache
+    return out, (xs, gates, cs, hs)
 
 
 def forward_batch(params: ModelParameters, feature_list):
@@ -172,27 +176,12 @@ def forward_batch(params: ModelParameters, feature_list):
 
     cache = ForwardCache(params, lengths)
     for layer in range(config.num_layers):
-        caches = {}
-        outs = []
-        for direction in DIRECTIONS:
-            out, dcache = _run_direction(
-                params, f"layer{layer}.{direction}", x, lengths,
-                reverse=(direction == "bwd"),
-            )
-            caches[direction] = dcache
-            outs.append(out)
-        cache.layers.append(caches)
-        x = np.concatenate(outs, axis=2)
+        x, layer_cache = _layer_forward(params, layer, x, lengths)
+        cache.layers.append(layer_cache)
 
     cache.top = x
     logits = x @ params["proj.W"].T + params["proj.b"]
     return [logits[b, :lengths[b]] for b in range(B)], cache
-
-
-def forward(params: ModelParameters, features):
-    """Single-utterance forward pass over a (T, D) array."""
-    logits_list, cache = forward_batch(params, [np.asarray(features, dtype=np.float64)])
-    return logits_list[0], cache
 
 
 def decode(params: ModelParameters, features, beam_width=None):
@@ -203,51 +192,54 @@ def decode(params: ModelParameters, features, beam_width=None):
     Deliberately one utterance at a time: a padded batch changes the
     logits' rounding, and at one BLAS thread a B-row recurrent step costs
     about as much as B one-row steps."""
-    logits, _ = forward(params, features)
+    (logits,), _ = forward_batch(params, [features])
     if beam_width is None:
         return ctc.greedy_decode(logits)
     return ctc.beam_decode(logits, beam_width)
 
 
-def _direction_backward(params, prefix, cache, d_out, lengths, reverse, grads):
-    W, R = params[f"{prefix}.W"], params[f"{prefix}.R"]
-    B, T, H = cache.h.shape
-    dhp = _reverse_padded(d_out, lengths) if reverse else d_out
+def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
+    """Backpropagate both directions of one layer through time in a single
+    loop; adds the layer's gradients to grads and returns d(layer input)."""
+    W = _stacked(params, layer, "W")
+    R = _stacked(params, layer, "R")
+    xs, gates, cs, hs = layer_cache
+    _, B, T, H = hs.shape
+    dhs = np.stack([d_out[..., :H], _reverse_padded(d_out[..., H:], lengths)])
 
     dW = np.zeros_like(W)
     dR = np.zeros_like(R)
-    db = np.zeros(4 * H)
-    dxp = np.zeros_like(cache.inputs)
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
+    db = np.zeros((2, 4 * H))
+    dxs = np.zeros_like(xs)
+    dz = np.zeros((2, B, 4 * H))
+    dzt = dz.transpose(0, 2, 1)
+    dh_next = dc_next = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
-        gi, gf, gg, go = cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t]
-        tc = cache.tc[:, t]
-        dh = dhp[:, t] + dh_next
+        g = gates[:, :, t]
+        gi, gf, gg, go = g[..., :H], g[..., H:2 * H], g[..., 2 * H:3 * H], g[..., 3 * H:]
+        tc = np.tanh(cs[:, :, t])
+        dh = dhs[:, :, t] + dh_next
         do = dh * tc
         dc = dh * go * (1.0 - tc * tc) + dc_next
-        c_prev = cache.c[:, t - 1] if t > 0 else 0.0
-        h_prev = cache.h[:, t - 1] if t > 0 else np.zeros((B, H))
-        dz = np.concatenate(
-            [
-                dc * gg * gi * (1.0 - gi),
-                dc * c_prev * gf * (1.0 - gf),
-                dc * gi * (1.0 - gg * gg),
-                do * go * (1.0 - go),
-            ],
-            axis=1,
-        )
-        dW += dz.T @ cache.inputs[:, t]
-        dR += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        dxp[:, t] = dz @ W
+        c_prev = cs[:, :, t - 1] if t > 0 else 0.0
+        h_prev = hs[:, :, t - 1] if t > 0 else np.zeros((2, B, H))
+        dz[..., :H] = dc * gg * gi * (1.0 - gi)
+        dz[..., H:2 * H] = dc * c_prev * gf * (1.0 - gf)
+        dz[..., 2 * H:3 * H] = dc * gi * (1.0 - gg * gg)
+        dz[..., 3 * H:] = do * go * (1.0 - go)
+        dW += dzt @ xs[:, :, t]
+        dR += dzt @ h_prev
+        db += dz.sum(axis=1)
+        dxs[:, :, t] = dz @ W
         dh_next = dz @ R
         dc_next = dc * gf
 
-    grads[f"{prefix}.W"] = dW
-    grads[f"{prefix}.R"] = dR
-    grads[f"{prefix}.b"] = db
-    return _reverse_padded(dxp, lengths) if reverse else dxp
+    for d, direction in enumerate(DIRECTIONS):
+        prefix = f"layer{layer}.{direction}"
+        grads[f"{prefix}.W"], grads[f"{prefix}.R"], grads[f"{prefix}.b"] = dW[d], dR[d], db[d]
+    dx = dxs[0]
+    dx += _reverse_padded(dxs[1], lengths)
+    return dx
 
 
 def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
@@ -273,20 +265,9 @@ def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
     grads["proj.b"] = flat_dl.sum(axis=0)
 
     dx = dlogits @ params["proj.W"]
-    H = config.hidden_units
     for layer in range(config.num_layers - 1, -1, -1):
-        d_fwd = dx[..., :H]
-        d_bwd = dx[..., H:]
-        caches = cache.layers[layer]
-        dx = _direction_backward(params, f"layer{layer}.fwd", caches["fwd"],
-                                 d_fwd, cache.lengths, False, grads)
-        dx += _direction_backward(params, f"layer{layer}.bwd", caches["bwd"],
-                                  d_bwd, cache.lengths, True, grads)
+        dx = _layer_backward(params, layer, cache.layers[layer], dx, cache.lengths, grads)
     return grads
-
-
-def backward(params: ModelParameters, cache: ForwardCache, dlogits):
-    return backward_batch(params, cache, [dlogits])
 
 
 def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:

@@ -255,6 +255,7 @@ def _read_run_info(run_dir) -> dict:
     try:
         check_section({key: info[key] for key in _RUN_TYPES}, _RUN_TYPES, RUN_FILE)
         check_section(info["feature_config"], FEATURE_TYPES, "feature_config")
+        FeatureConfig(**info["feature_config"])  # rejects values that cannot work
         id_lists = [*info["splits"].values(), info["subset"] or []]
         if sorted(info["splits"]) != ["dev", "test", "train"] or not all(
                 isinstance(ids, list) and all(isinstance(i, str) for i in ids)
@@ -278,14 +279,14 @@ def _load_split(run_dir, run_info, split, vocab, feature_config):
     if split not in run_info["splits"]:
         raise ConfigError(f"unknown split '{split}' (expected train, dev, or test)")
     records = {r.id: r for r in read_manifest(run_dir / "manifest.jsonl")}
-    split_ids = run_info["splits"][split]
-    missing = [i for i in split_ids if i not in records]
+    listed = [*run_info["splits"].values(), run_info["subset"] or []]
+    missing = sorted({i for ids in listed for i in ids} - records.keys())
     if missing:
         raise DataError(
-            f"run manifest lacks {len(missing)} utterance(s) of split '{split}': "
+            f"run manifest lacks {len(missing)} utterance(s) that {RUN_FILE} lists: "
             f"{missing[:5]}"
         )
-    split_records = [records[i] for i in split_ids]
+    split_records = [records[i] for i in run_info["splits"][split]]
     if not split_records:
         raise DataError(f"split '{split}' is empty")
 

@@ -59,6 +59,11 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.learning_rate < 0 or self.seed < 0:
             raise ConfigError("learning_rate and seed must be nonnegative")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if not (self.epsilon > 0 and self.grad_clip_norm >= 0):
+            raise ConfigError("epsilon must be positive and grad_clip_norm nonnegative "
+                              "(0 turns clipping off)")
 
 
 def split_corpus(records, ratios, seed):
@@ -206,10 +211,10 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                     total_loss += result.loss
                     dlogits.append(result.grad / len(batch))
                 if not np.isfinite(total_loss):
+                    kept = (f"last good checkpoint kept at {checkpoint_path}" if best_epoch
+                            else "no checkpoint was written")
                     raise TrainingError(
-                        f"training diverged (non-finite loss) at epoch {epoch}; "
-                        f"last good checkpoint kept at {checkpoint_path}"
-                    )
+                        f"training diverged (non-finite loss) at epoch {epoch}; {kept}")
                 grads = backward_batch(params, cache, dlogits)
                 params, adam = adam_step(params, grads, adam, train_config)
 

@@ -17,7 +17,7 @@ from tinyasr.corpus import prepare_corpus_dir, read_manifest
 from tinyasr.ctc import collapse, ctc_loss, log_softmax, min_frames
 from tinyasr.evaluation import align_and_count_confusions, edit_distance
 from tinyasr.features import build_mel_filterbank, hz_to_mel, power_spectrum
-from tinyasr.model import ModelConfig, backward, forward, init_parameters
+from tinyasr.model import ModelConfig, backward_batch, forward_batch, init_parameters
 from tinyasr.synthetic import generate_tone_corpus
 from tinyasr.variants import load_alignments, pause_boundaries, strip_spaces
 
@@ -127,8 +127,8 @@ def test_criterion_2_gradient_checks():
         T = int(trial_rng.integers(1, 6))
         feats = trial_rng.normal(size=(T, config.input_dim))
         weights = trial_rng.normal(size=(T, config.output_dim))
-        _, cache = forward(params, feats)
-        grads = backward(params, cache, weights)
+        _, cache = forward_batch(params, [feats])
+        grads = backward_batch(params, cache, [weights])
         h = 1e-6
         for name, tensor in params.tensors.items():
             fd = np.zeros_like(tensor)
@@ -137,10 +137,10 @@ def test_criterion_2_gradient_checks():
                 idx = it.multi_index
                 orig = tensor[idx]
                 tensor[idx] = orig + h
-                lg, _ = forward(params, feats)
+                (lg,), _ = forward_batch(params, [feats])
                 up = float((lg * weights).sum())
                 tensor[idx] = orig - h
-                lg, _ = forward(params, feats)
+                (lg,), _ = forward_batch(params, [feats])
                 down = float((lg * weights).sum())
                 tensor[idx] = orig
                 fd[idx] = (up - down) / (2 * h)

@@ -40,6 +40,17 @@ def _set_run_key(key, value):
     return damage
 
 
+def _drop_from_manifest(split):
+    """Remove the manifest line of a split's first utterance."""
+    def damage(run):
+        dropped = json.loads((run / "run.json").read_text())["splits"][split][0]
+        lines = (run / "manifest.jsonl").read_text(encoding="utf-8").splitlines(True)
+        (run / "manifest.jsonl").write_text(
+            "".join(line for line in lines if json.loads(line)["id"] != dropped),
+            encoding="utf-8")
+    return damage
+
+
 def _edit_checkpoint_header(edit):
     """Rewrite the JSON header of checkpoint.bin with edit(header)."""
     def damage(run):
@@ -138,9 +149,20 @@ class TestConfigParsing:
         (None, "seed", "abc"),
         ("model", "num_layers", "x"),
         ("features", "n_mels", "x"),
+        ("features", "frame_shift_s", 0),
+        ("features", "frame_shift_s", -0.01),
+        ("features", "frame_length_s", 0),
+        ("features", "n_mels", 0),
+        ("features", "sample_rate", 0),
+        ("features", "log_floor", 0),
+        ("train", "beta1", -0.5),
+        ("train", "beta1", 1.0),
+        ("train", "beta2", 1.0),
+        ("train", "epsilon", -1.0),
+        ("train", "epsilon", 0),
+        ("train", "grad_clip_norm", -1.0),
     ])
-    def test_ill_typed_value_exits_1_before_any_run(self, tmp_path, capsys,
-                                                    section, key, value):
+    def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
         raw = self.base()
         raw["out_dir"] = str(tmp_path / "runs")
         if section is None:
@@ -458,6 +480,8 @@ class TestTrainedRun:
             lambda h: h["config"].update(input_dim="x"))),
         ("evaluate", _edit_checkpoint_header(lambda h: h["tensors"][0].pop("shape"))),
         ("evaluate", _edit_checkpoint_header(lambda h: h.update(vocabulary=5))),
+        ("evaluate", _drop_from_manifest("train")),
+        ("transcribe", _set_run_key("feature_config", {"frame_shift_s": 0})),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
@@ -466,7 +490,8 @@ class TestTrainedRun:
             "evaluate-no-manifest", "evaluate-int-splits",
             "transcribe-int-feature-config", "evaluate-header-without-config",
             "transcribe-text-input-dim", "evaluate-tensor-without-shape",
-            "evaluate-int-vocabulary"])
+            "evaluate-int-vocabulary", "evaluate-manifest-lacks-train-id",
+            "transcribe-zero-frame-shift"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"

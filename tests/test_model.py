@@ -5,9 +5,7 @@ from tinyasr.errors import ConfigError, DataError
 from tinyasr.model import (
     ModelConfig,
     ModelParameters,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_parameters,
     load_checkpoint,
@@ -26,7 +24,7 @@ def tiny_config(rng):
 
 
 def scalar_loss(params, feats, weights):
-    logits, _ = forward(params, feats)
+    (logits,), _ = forward_batch(params, [feats])
     return float((logits * weights).sum())
 
 
@@ -87,20 +85,20 @@ class TestForward:
         params = init_parameters(config, 0)
         zeroed = ModelParameters(config, {n: np.zeros_like(t)
                                           for n, t in params.tensors.items()})
-        logits, _ = forward(zeroed, np.random.default_rng(0).normal(size=(6, 3)))
+        (logits,), _ = forward_batch(zeroed, [np.random.default_rng(0).normal(size=(6, 3))])
         assert np.allclose(logits, logits[0, 0])
 
     def test_single_frame_shape(self):
         config = ModelConfig(input_dim=3, vocab_size=2, num_layers=1, hidden_units=4)
         params = init_parameters(config, 0)
-        logits, _ = forward(params, np.zeros((1, 3)))
+        (logits,), _ = forward_batch(params, [np.zeros((1, 3))])
         assert logits.shape == (1, 3)
 
     def test_dimension_mismatch_rejected(self):
         config = ModelConfig(input_dim=3, vocab_size=2, num_layers=1, hidden_units=4)
         params = init_parameters(config, 0)
         with pytest.raises(DataError):
-            forward(params, np.zeros((4, 5)))
+            forward_batch(params, [np.zeros((4, 5))])
 
     def test_time_reversal_symmetry(self):
         # swapping the direction weights (projection blocks included) and
@@ -122,19 +120,18 @@ class TestForward:
         }
         mirrored = ModelParameters(config, swapped)
         feats = rng.normal(size=(7, 3))
-        logits, _ = forward(params, feats)
-        logits_rev, _ = forward(mirrored, feats[::-1].copy())
+        (logits,), _ = forward_batch(params, [feats])
+        (logits_rev,), _ = forward_batch(mirrored, [feats[::-1].copy()])
         assert np.allclose(logits_rev, logits[::-1], atol=1e-12)
 
     def test_hidden_states_stay_inside_unit_interval(self):
         rng = np.random.default_rng(12)
         config = ModelConfig(input_dim=4, vocab_size=2, num_layers=2, hidden_units=6)
         params = init_parameters(config, 3)
-        _, cache = forward(params, rng.normal(size=(20, 4)))
-        for layer in cache.layers:
-            for direction in layer.values():
-                assert np.all(direction.h > -1.0)
-                assert np.all(direction.h < 1.0)
+        _, cache = forward_batch(params, [rng.normal(size=(20, 4))])
+        for _, _, _, hs in cache.layers:
+            assert np.all(hs > -1.0)
+            assert np.all(hs < 1.0)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(13)
@@ -143,7 +140,7 @@ class TestForward:
         feats = [rng.normal(size=(t, 4)) for t in (9, 3, 6)]
         batched, _ = forward_batch(params, feats)
         for f, lb in zip(feats, batched):
-            single, _ = forward(params, f)
+            (single,), _ = forward_batch(params, [f])
             assert np.allclose(single, lb, atol=1e-12)
 
 
@@ -158,8 +155,8 @@ class TestBackward:
             T = int(rng.integers(1, 6))
             feats = rng.normal(size=(T, config.input_dim))
             weights = rng.normal(size=(T, config.output_dim))
-            logits, cache = forward(params, feats)
-            grads = backward(params, cache, weights)
+            (logits,), cache = forward_batch(params, [feats])
+            grads = backward_batch(params, cache, [weights])
             for name in params.names():
                 fd = finite_difference(params, feats, weights, name)
                 scale = max(np.abs(grads[name]).max(), np.abs(fd).max(), 1e-8)
@@ -172,8 +169,8 @@ class TestBackward:
         config = ModelConfig(input_dim=3, vocab_size=2, num_layers=2, hidden_units=4)
         params = init_parameters(config, 1)
         feats = rng.normal(size=(5, 3))
-        logits, cache = forward(params, feats)
-        grads = backward(params, cache, np.zeros_like(logits))
+        (logits,), cache = forward_batch(params, [feats])
+        grads = backward_batch(params, cache, [np.zeros_like(logits)])
         for name, grad in grads.items():
             assert np.all(grad == 0.0), name
 
@@ -183,10 +180,10 @@ class TestBackward:
         params = init_parameters(config, 2)
         feats = rng.normal(size=(5, 3))
         weights = rng.normal(size=(5, config.output_dim))
-        logits, cache = forward(params, feats)
-        g1 = backward(params, cache, weights)
-        logits, cache = forward(params, feats)
-        g2 = backward(params, cache, 2.0 * weights)
+        (logits,), cache = forward_batch(params, [feats])
+        g1 = backward_batch(params, cache, [weights])
+        (logits,), cache = forward_batch(params, [feats])
+        g2 = backward_batch(params, cache, [2.0 * weights])
         for name in g1:
             assert np.allclose(2.0 * g1[name], g2[name], atol=1e-12)
 
@@ -200,8 +197,8 @@ class TestBackward:
         batched = backward_batch(params, cache, weights)
         summed = {n: np.zeros_like(t) for n, t in params.tensors.items()}
         for f, w in zip(feats, weights):
-            _, cache1 = forward(params, f)
-            for name, grad in backward(params, cache1, w).items():
+            _, cache1 = forward_batch(params, [f])
+            for name, grad in backward_batch(params, cache1, [w]).items():
                 summed[name] += grad
         for name in summed:
             assert np.allclose(summed[name], batched[name], atol=1e-10), name
@@ -210,9 +207,9 @@ class TestBackward:
         config = ModelConfig(input_dim=3, vocab_size=2, num_layers=1, hidden_units=4)
         params = init_parameters(config, 1)
         other = init_parameters(config, 2)
-        logits, cache = forward(params, np.zeros((4, 3)))
+        (logits,), cache = forward_batch(params, [np.zeros((4, 3))])
         with pytest.raises(ValueError, match="cache"):
-            backward(other, cache, np.zeros_like(logits))
+            backward_batch(other, cache, [np.zeros_like(logits)])
 
 
 class TestCheckpoint:

@@ -257,6 +257,28 @@ class TestTrainLoop:
         for name in initial.names():
             assert np.array_equal(loaded[name], initial[name])
 
+    @pytest.mark.parametrize("nan_from_call,kept", [
+        (1, "no checkpoint was written"),
+        (25, "last good checkpoint kept at"),
+    ])
+    def test_divergence_names_checkpoint_only_if_written(self, tmp_path, monkeypatch,
+                                                         nan_from_call, kept):
+        # one loss per train utterance: calls 1-24 are epoch 1, call 25 is epoch 2
+        from tinyasr import ctc
+
+        ctc_loss = ctc.ctc_loss
+        calls = []
+
+        def diverging_loss(logits, target):
+            calls.append(None)
+            result = ctc_loss(logits, target)
+            return result if len(calls) < nan_from_call else ctc.CTCResult(np.nan, result.grad)
+
+        monkeypatch.setattr(ctc, "ctc_loss", diverging_loss)
+        with pytest.raises(TrainingError, match=kept):
+            self.run(tmp_path)
+        assert (tmp_path / "run" / "checkpoint.bin").exists() == (nan_from_call > 1)
+
     def test_empty_split_rejected(self, tmp_path):
         config = TrainConfig()
         model_config = ModelConfig(input_dim=6, vocab_size=2, num_layers=1,
