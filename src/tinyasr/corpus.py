@@ -35,9 +35,6 @@ REJECTION_REASONS = (
     REASON_TOO_LONG,
 )
 
-MIN_DURATION_S = 0.400
-MAX_DURATION_S = 10.000
-
 # Annotation times are declared at millisecond precision; durations are
 # rounded to whole ms before the bounds comparison so that e.g. 2.5 - 2.1
 # does not fall below 0.4 through float subtraction.
@@ -335,15 +332,20 @@ def write_manifest(records, path) -> None:
 
 def read_manifest(path) -> list:
     """Read a JSON-lines manifest into UtteranceRecords, preserving order.
-    An empty speaker falls back to the line's tier, if it has one."""
+    An empty speaker falls back to the line's tier, if it has one. An id
+    given twice is a DataError naming both lines."""
     name = Path(path).name
-    records = []
+    records, first_line = [], {}
     for lineno, row in read_json_lines(path):
         for key in _MANIFEST_KEYS:
             if key not in row:
                 raise DataError(f"{name} line {lineno}: missing key '{key}'")
         if row["id"] == "":
             raise DataError(f"{name} line {lineno}: empty utterance id")
+        utt_id = str(row["id"])
+        if first_line.setdefault(utt_id, lineno) != lineno:
+            raise DataError(f"{name} line {lineno}: duplicate utterance id '{utt_id}' "
+                            f"(first on line {first_line[utt_id]})")
         start_s, end_s = row["start_s"], row["end_s"]
         if not isinstance(start_s, (int, float)) or not isinstance(end_s, (int, float)):
             raise DataError(f"{name} line {lineno}: start_s/end_s must be numbers")
@@ -352,7 +354,7 @@ def read_manifest(path) -> list:
                 f"{name} line {lineno}: start_s {start_s} is not before end_s {end_s}"
             )
         records.append(UtteranceRecord(
-            id=str(row["id"]),
+            id=utt_id,
             audio=str(row["audio"]),
             start_s=float(start_s),
             end_s=float(end_s),

@@ -37,6 +37,12 @@ class FeatureConfig:
                 raise ConfigError(f"{key} {seconds} is shorter than one sample")
         if not self.log_floor > 0:
             raise ConfigError("log_floor must be positive")
+        if not 0 <= self.preemphasis < 1:
+            raise ConfigError(f"preemphasis {self.preemphasis} outside [0, 1)")
+        nyquist = self.sample_rate / 2
+        if not 0 <= self.fmin < (nyquist if self.fmax is None else self.fmax) <= nyquist:
+            raise ConfigError(f"need 0 <= fmin < fmax <= {nyquist} Hz (Nyquist), got "
+                              f"fmin {self.fmin} and fmax {self.fmax}")
 
     @property
     def frame_length(self) -> int:

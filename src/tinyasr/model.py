@@ -88,12 +88,7 @@ def init_parameters(config: ModelConfig, seed: int) -> ModelParameters:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _reverse_padded(x, lengths):
@@ -110,7 +105,8 @@ class ForwardCache:
     Per layer, a tuple (xs, gates, cs, hs) with a leading axis of 2 for the
     fwd and bwd directions, each in its own processing order: the layer
     inputs (2, B, T, D), the gate activations i, f, g, o (2, B, T, 4H), and
-    the cell and hidden states (2, B, T, H)."""
+    the cell and hidden states (2, B, T + 1, H). Slot 0 of cs and hs holds
+    the zero initial state; step t writes slot t + 1."""
 
     def __init__(self, params, lengths):
         self.params = params
@@ -130,23 +126,22 @@ def _layer_forward(params, layer, x, lengths):
     Wt = _stacked(params, layer, "W").transpose(0, 2, 1)
     Rt = _stacked(params, layer, "R").transpose(0, 2, 1)
     b = _stacked(params, layer, "b")[:, None]
-    B, T, _ = x.shape
+    B, T, D = x.shape
     H = Rt.shape[1]
     xs = np.stack([x, _reverse_padded(x, lengths)])
 
-    gates = np.zeros((2, B, T, 4 * H))
-    cs = np.zeros((2, B, T, H))
-    hs = np.zeros((2, B, T, H))
-    h = c = np.zeros((2, B, H))
+    gates = (xs.reshape(2, B * T, D) @ Wt).reshape(2, B, T, 4 * H)
+    cs = np.zeros((2, B, T + 1, H))
+    hs = np.zeros((2, B, T + 1, H))
     for t in range(T):
-        z = xs[:, :, t] @ Wt + h @ Rt + b
+        z = gates[:, :, t]
+        z[...] = z + hs[:, :, t] @ Rt + b
         gi, gf, gg, go = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
         gi[...], gf[...], gg[...], go[...] = _sigmoid(gi), _sigmoid(gf), np.tanh(gg), _sigmoid(go)
-        c = gf * c + gi * gg
-        h = go * np.tanh(c)
-        gates[:, :, t], cs[:, :, t], hs[:, :, t] = z, c, h
+        cs[:, :, t + 1] = gf * cs[:, :, t] + gi * gg
+        hs[:, :, t + 1] = go * np.tanh(cs[:, :, t + 1])
 
-    out = np.concatenate([hs[0], _reverse_padded(hs[1], lengths)], axis=2)
+    out = np.concatenate([hs[0, :, 1:], _reverse_padded(hs[1, :, 1:], lengths)], axis=2)
     for b_idx, length in enumerate(lengths):
         out[b_idx, length:] = 0.0
     return out, (xs, gates, cs, hs)
@@ -190,8 +185,7 @@ def decode(params: ModelParameters, features, beam_width=None):
     and transcribe all decode through it.
 
     Deliberately one utterance at a time: a padded batch changes the
-    logits' rounding, and at one BLAS thread a B-row recurrent step costs
-    about as much as B one-row steps."""
+    logits' rounding."""
     (logits,), _ = forward_batch(params, [features])
     if beam_width is None:
         return ctc.greedy_decode(logits)
@@ -204,39 +198,34 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
     W = _stacked(params, layer, "W")
     R = _stacked(params, layer, "R")
     xs, gates, cs, hs = layer_cache
-    _, B, T, H = hs.shape
+    _, B, T, D = xs.shape
+    H = R.shape[2]
     dhs = np.stack([d_out[..., :H], _reverse_padded(d_out[..., H:], lengths)])
 
-    dW = np.zeros_like(W)
-    dR = np.zeros_like(R)
-    db = np.zeros((2, 4 * H))
-    dxs = np.zeros_like(xs)
-    dz = np.zeros((2, B, 4 * H))
-    dzt = dz.transpose(0, 2, 1)
+    dz = np.empty_like(gates)
     dh_next = dc_next = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
         g = gates[:, :, t]
         gi, gf, gg, go = g[..., :H], g[..., H:2 * H], g[..., 2 * H:3 * H], g[..., 3 * H:]
-        tc = np.tanh(cs[:, :, t])
+        tc = np.tanh(cs[:, :, t + 1])
         dh = dhs[:, :, t] + dh_next
-        do = dh * tc
         dc = dh * go * (1.0 - tc * tc) + dc_next
-        c_prev = cs[:, :, t - 1] if t > 0 else 0.0
-        h_prev = hs[:, :, t - 1] if t > 0 else np.zeros((2, B, H))
-        dz[..., :H] = dc * gg * gi * (1.0 - gi)
-        dz[..., H:2 * H] = dc * c_prev * gf * (1.0 - gf)
-        dz[..., 2 * H:3 * H] = dc * gi * (1.0 - gg * gg)
-        dz[..., 3 * H:] = do * go * (1.0 - go)
-        dW += dzt @ xs[:, :, t]
-        dR += dzt @ h_prev
-        db += dz.sum(axis=1)
-        dxs[:, :, t] = dz @ W
-        dh_next = dz @ R
+        dzt = dz[:, :, t]
+        dzt[..., :H] = dc * gg * gi * (1.0 - gi)
+        dzt[..., H:2 * H] = dc * cs[:, :, t] * gf * (1.0 - gf)
+        dzt[..., 2 * H:3 * H] = dc * gi * (1.0 - gg * gg)
+        dzt[..., 3 * H:] = dh * tc * go * (1.0 - go)
+        dh_next = dzt @ R
         dc_next = dc * gf
 
+    dz = dz.reshape(2, B * T, 4 * H)
+    dW = dz.transpose(0, 2, 1) @ xs.reshape(2, B * T, D)
+    dR = dz.transpose(0, 2, 1) @ hs[:, :, :-1].reshape(2, B * T, H)
+    db = dz.sum(axis=1)
     for d, direction in enumerate(DIRECTIONS):
         prefix = f"layer{layer}.{direction}"
         grads[f"{prefix}.W"], grads[f"{prefix}.R"], grads[f"{prefix}.b"] = dW[d], dR[d], db[d]
+    dxs = (dz @ W).reshape(2, B, T, D)
     dx = dxs[0]
     dx += _reverse_padded(dxs[1], lengths)
     return dx

@@ -51,6 +51,13 @@ def _drop_from_manifest(split):
     return damage
 
 
+def _repeat_first_id(manifest):
+    """Append a line with the first line's id and the second line's audio."""
+    rows = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    rows.append({**rows[1], "id": rows[0]["id"]})
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
 def _edit_checkpoint_header(edit):
     """Rewrite the JSON header of checkpoint.bin with edit(header)."""
     def damage(run):
@@ -161,6 +168,11 @@ class TestConfigParsing:
         ("train", "epsilon", -1.0),
         ("train", "epsilon", 0),
         ("train", "grad_clip_norm", -1.0),
+        ("features", "preemphasis", 1.5),
+        ("features", "preemphasis", -0.1),
+        ("features", "fmin", 9000.0),
+        ("features", "fmin", -1.0),
+        ("features", "fmax", 9000.0),
     ])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
         raw = self.base()
@@ -206,6 +218,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing.jsonl" in err
         assert "Traceback" not in err
+
+    def test_duplicate_manifest_id_exits_2_before_any_run(self, tone_corpus, tmp_path,
+                                                           capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        shutil.copyfile(tone_corpus["manifest"], manifest)
+        _repeat_first_id(manifest)
+        config = {"schema_version": 1, "name": "x", "corpus": str(manifest),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate utterance id" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
     def test_prepare_missing_dir_exits_2(self, tmp_path):
         assert main(["prepare", str(tmp_path / "nowhere"), "--out",
@@ -482,6 +508,7 @@ class TestTrainedRun:
         ("evaluate", _edit_checkpoint_header(lambda h: h.update(vocabulary=5))),
         ("evaluate", _drop_from_manifest("train")),
         ("transcribe", _set_run_key("feature_config", {"frame_shift_s": 0})),
+        ("evaluate", lambda run: _repeat_first_id(run / "manifest.jsonl")),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
@@ -491,7 +518,7 @@ class TestTrainedRun:
             "transcribe-int-feature-config", "evaluate-header-without-config",
             "transcribe-text-input-dim", "evaluate-tensor-without-shape",
             "evaluate-int-vocabulary", "evaluate-manifest-lacks-train-id",
-            "transcribe-zero-frame-shift"])
+            "transcribe-zero-frame-shift", "evaluate-manifest-duplicate-id"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"

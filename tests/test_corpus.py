@@ -129,6 +129,16 @@ class TestManifestParsing:
         with pytest.raises(DataError, match="m.jsonl line 2: empty utterance id"):
             read_manifest(path)
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        row = {"id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,
+               "transcript": "ej", "speaker": "KP"}
+        lines = [row, {**row, "id": "u2"}, {**row, "audio": "b.wav"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        with pytest.raises(DataError, match=r"m.jsonl line 3: duplicate utterance id "
+                                            r"'u1' \(first on line 1\)"):
+            read_manifest(path)
+
     def test_empty_speaker_falls_back_to_tier(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({

@@ -5,6 +5,7 @@ from tinyasr.errors import ConfigError, DataError
 from tinyasr.model import (
     ModelConfig,
     ModelParameters,
+    _sigmoid,
     backward_batch,
     forward_batch,
     init_parameters,
@@ -77,6 +78,32 @@ class TestInit:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(input_dim=3, vocab_size=2, num_layers=0, hidden_units=4)
+
+
+class TestSigmoid:
+    X = np.concatenate([np.linspace(-800.0, 800.0, 100001), [np.inf, -np.inf, 0.0, -0.0]])
+
+    @staticmethod
+    def masked_sigmoid(x):
+        """The overflow-safe two-branch form, kept as the reference."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_matches_masked_form(self):
+        diff = np.abs(_sigmoid(self.X) - self.masked_sigmoid(self.X))
+        assert diff.max() <= np.finfo(float).eps  # 2.2e-16
+
+    def test_stays_inside_unit_interval(self):
+        y = _sigmoid(self.X)
+        assert y.min() >= 0.0 and y.max() <= 1.0
+
+    def test_raises_no_warning(self):
+        with np.errstate(all="raise"):
+            _sigmoid(self.X)
 
 
 class TestForward:

@@ -1,0 +1,111 @@
+"""Reference runs for the determinism check.
+
+    python tools/reference_runs.py OUT_DIR
+
+Generates the 60-utterance tone corpus (seed 3) under OUT_DIR and, for the
+variants orig-no-spaces and ipa-pause-boundaries (pause gap 0.05 s), runs
+`sweep --fast --sizes 10,20,40` and then `train --fast`, with seed 7 and
+max_epochs = patience = 3, at one BLAS thread. Each of the 8 runs is then
+evaluated on dev and test, greedy and with beam 8, and transcribes
+tone0000-tone0005 both ways; those outputs are kept under
+OUT_DIR/evaluations and OUT_DIR/transcripts.
+
+Prints one line per run: its name, the sha256 of its checkpoint.bin, the
+test LER, best_dev_ler and best_epoch. Run it on two trees and compare the
+lines, then the files (`diff -r`), to see whether a change moved any bit.
+"""
+
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+# the bytes depend on the BLAS thread count; set it before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tinyasr.cli import main  # noqa: E402
+from tinyasr.synthetic import generate_tone_corpus  # noqa: E402
+
+VARIANTS = ("orig-no-spaces", "ipa-pause-boundaries")
+SIZES = (10, 20, 40)
+WAVS = [f"tone{i:04d}.wav" for i in range(6)]
+
+
+def tinyasr(*argv) -> str:
+    """Run one tinyasr command; returns its standard output."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    if code != 0:
+        raise SystemExit(f"tinyasr {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def write_config(out_dir: Path, variant: str) -> Path:
+    config = {
+        "schema_version": 1,
+        "name": variant,
+        "corpus": "corpus/utterances.jsonl",
+        "variant": variant,
+        "out_dir": "runs",
+        "seed": 7,
+        "train": {"max_epochs": 3, "patience": 3},
+    }
+    if variant == "ipa-pause-boundaries":
+        config.update(g2p_rules="corpus/g2p.tsv", alignments="corpus/words.jsonl",
+                      pause_gap_threshold=0.05)
+    path = out_dir / f"{variant}.json"
+    path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def check_run(out_dir: Path, run: Path) -> str:
+    """Evaluates and transcribes with a finished run; returns its line."""
+    kept = out_dir / "evaluations" / run.name
+    kept.mkdir(parents=True)
+    for decoder in ("beam", "greedy"):  # greedy last: the run keeps its reports
+        for split in ("dev", "test"):
+            tinyasr("evaluate", "--run", str(run), "--split", split, "--decoder", decoder)
+            for suffix in ("json", "txt"):
+                shutil.copyfile(run / f"report-{split}.{suffix}",
+                                kept / f"{decoder}-{split}.{suffix}")
+    wavs = [str(out_dir / "corpus" / "wav" / name) for name in WAVS]
+    for decoder, beam in (("greedy", ()), ("beam", ("--beam", "8"))):
+        text = tinyasr("transcribe", "--run", str(run), *beam, *wavs)
+        text = text.replace(str(out_dir / "corpus" / "wav") + os.sep, "")
+        (out_dir / "transcripts" / f"{run.name}-{decoder}.tsv").write_text(
+            text, encoding="utf-8")
+
+    digest = hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest()
+    results = json.loads((run / "run.json").read_text(encoding="utf-8"))["results"]
+    return (f"{run.name}\t{digest}\tler={results['ler']!r}\t"
+            f"best_dev_ler={results['best_dev_ler']!r}\tbest_epoch={results['best_epoch']}")
+
+
+def reference_runs(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True)
+    generate_tone_corpus(out_dir / "corpus", n_utterances=60, seed=3)
+    (out_dir / "transcripts").mkdir()
+    for variant in VARIANTS:
+        config = str(write_config(out_dir, variant))
+        tinyasr("sweep", "--config", config, "--fast",
+                "--sizes", ",".join(str(s) for s in SIZES))
+        tinyasr("train", "--config", config, "--fast")
+        names = [f"{variant}-n{size}" for size in SIZES] + [variant]
+        for name in names:
+            print(check_run(out_dir, out_dir / "runs" / name), flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    target = Path(sys.argv[1]).resolve()
+    if target.exists():
+        raise SystemExit(f"{target} exists; give a new directory")
+    reference_runs(target)
