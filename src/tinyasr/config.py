@@ -6,6 +6,7 @@ config file's directory.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args
@@ -31,8 +32,8 @@ _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
 
 
 def check_section(section: dict, types: dict, where: str) -> dict:
-    """Unknown keys and ill-typed values are errors. A JSON integer is a
-    valid float; a boolean is no number."""
+    """Unknown keys, ill-typed values and non-finite floats are errors. A
+    JSON integer is a valid float; a boolean is no number."""
     for key, value in section.items():
         if key not in types:
             raise ConfigError(f"unknown config key '{key}' in {where}")
@@ -40,14 +41,16 @@ def check_section(section: dict, types: dict, where: str) -> dict:
         kinds += (int,) if float in kinds else ()
         if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
             raise ConfigError(f"ill-typed config key '{key}' in {where}: {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key '{key}' in {where} must be finite, got {value!r}")
     return section
 
 
 def check_sizes(sizes, what: str) -> list:
-    """Sweep sizes are ascending positive utterance counts."""
+    """Sweep sizes are strictly ascending positive utterance counts."""
     sizes = list(sizes)
-    if any(type(s) is not int or s < 1 for s in sizes) or sizes != sorted(sizes):
-        raise ConfigError(f"{what} must be ascending positive counts, got {sizes}")
+    if any(type(s) is not int or s < 1 for s in sizes) or sizes != sorted(set(sizes)):
+        raise ConfigError(f"{what} must be strictly ascending positive counts, got {sizes}")
     return sizes
 
 

@@ -8,6 +8,7 @@ removed, whitespace collapsed).
 """
 
 import json
+import math
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
@@ -347,8 +348,8 @@ def read_manifest(path) -> list:
             raise DataError(f"{name} line {lineno}: duplicate utterance id '{utt_id}' "
                             f"(first on line {first_line[utt_id]})")
         start_s, end_s = row["start_s"], row["end_s"]
-        if not isinstance(start_s, (int, float)) or not isinstance(end_s, (int, float)):
-            raise DataError(f"{name} line {lineno}: start_s/end_s must be numbers")
+        if not all(isinstance(t, (int, float)) and math.isfinite(t) for t in (start_s, end_s)):
+            raise DataError(f"{name} line {lineno}: start_s/end_s must be finite numbers")
         if start_s >= end_s:
             raise DataError(
                 f"{name} line {lineno}: start_s {start_s} is not before end_s {end_s}"

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import ctc
 from .errors import ConfigError, DataError
+from .variants import BLANK
 
-DIRECTIONS = ("fwd", "bwd")
 CHECKPOINT_MAGIC = b"TASRMODL"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -55,35 +55,34 @@ class ModelParameters:
 
 
 def parameter_shapes(config: ModelConfig) -> dict:
-    """Ordered {name: shape}. Gate blocks are packed i, f, g, o."""
+    """Ordered {name: shape}. A layer's tensors stack its fwd (index 0) and
+    bwd (index 1) direction on a leading axis. Gates are packed i, f, g, o."""
     H, shapes = config.hidden_units, {}
     for layer in range(config.num_layers):
         in_dim = config.input_dim if layer == 0 else 2 * H
-        for direction in DIRECTIONS:
-            prefix = f"layer{layer}.{direction}"
-            shapes[f"{prefix}.W"] = (4 * H, in_dim)
-            shapes[f"{prefix}.R"] = (4 * H, H)
-            shapes[f"{prefix}.b"] = (4 * H,)
+        shapes[f"layer{layer}.W"] = (2, 4 * H, in_dim)
+        shapes[f"layer{layer}.R"] = (2, 4 * H, H)
+        shapes[f"layer{layer}.b"] = (2, 4 * H)
     shapes["proj.W"] = (config.output_dim, 2 * H)
     shapes["proj.b"] = (config.output_dim,)
     return shapes
 
 
 def init_parameters(config: ModelConfig, seed: int) -> ModelParameters:
-    """Uniform Glorot weights, zero biases except forget-gate bias of 1."""
+    """Uniform Glorot weights, zero biases except forget-gate bias of 1.
+    Weight matrices are drawn layer by layer, direction by direction, W
+    before R, then the projection."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    H = config.hidden_units
-    tensors = {}
-    for name, shape in parameter_shapes(config).items():
-        if name.endswith(".b"):
-            bias = np.zeros(shape)
-            if not name.startswith("proj"):
-                bias[H:2 * H] = 1.0
-            tensors[name] = bias
-        else:
-            fan_out, fan_in = shape
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = rng.uniform(-limit, limit, size=shape)
+    H, layers = config.hidden_units, range(config.num_layers)
+    tensors = {name: np.zeros(shape) for name, shape in parameter_shapes(config).items()}
+    matrices = [tensors[f"layer{layer}.{kind}"][d] for layer in layers for d in (0, 1)
+                for kind in "WR"]
+    for matrix in matrices + [tensors["proj.W"]]:
+        fan_out, fan_in = matrix.shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        matrix[...] = rng.uniform(-limit, limit, size=matrix.shape)
+    for layer in layers:
+        tensors[f"layer{layer}.b"][:, H:2 * H] = 1.0
     return ModelParameters(config, tensors)
 
 
@@ -115,17 +114,12 @@ class ForwardCache:
         self.top = None
 
 
-def _stacked(params, layer, name):
-    """One layer's fwd and bwd tensor of a name, stacked on a leading axis."""
-    return np.stack([params[f"layer{layer}.{d}.{name}"] for d in DIRECTIONS])
-
-
 def _layer_forward(params, layer, x, lengths):
     """Both directions of one layer in a single time loop. Returns the
     layer output (B, T, 2H), padded tails zeroed, and its cache entry."""
-    Wt = _stacked(params, layer, "W").transpose(0, 2, 1)
-    Rt = _stacked(params, layer, "R").transpose(0, 2, 1)
-    b = _stacked(params, layer, "b")[:, None]
+    Wt = params[f"layer{layer}.W"].transpose(0, 2, 1)
+    Rt = params[f"layer{layer}.R"].transpose(0, 2, 1)
+    b = params[f"layer{layer}.b"][:, None]
     B, T, D = x.shape
     H = Rt.shape[1]
     xs = np.stack([x, _reverse_padded(x, lengths)])
@@ -195,8 +189,7 @@ def decode(params: ModelParameters, features, beam_width=None):
 def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
     """Backpropagate both directions of one layer through time in a single
     loop; adds the layer's gradients to grads and returns d(layer input)."""
-    W = _stacked(params, layer, "W")
-    R = _stacked(params, layer, "R")
+    R = params[f"layer{layer}.R"]
     xs, gates, cs, hs = layer_cache
     _, B, T, D = xs.shape
     H = R.shape[2]
@@ -219,13 +212,10 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
         dc_next = dc * gf
 
     dz = dz.reshape(2, B * T, 4 * H)
-    dW = dz.transpose(0, 2, 1) @ xs.reshape(2, B * T, D)
-    dR = dz.transpose(0, 2, 1) @ hs[:, :, :-1].reshape(2, B * T, H)
-    db = dz.sum(axis=1)
-    for d, direction in enumerate(DIRECTIONS):
-        prefix = f"layer{layer}.{direction}"
-        grads[f"{prefix}.W"], grads[f"{prefix}.R"], grads[f"{prefix}.b"] = dW[d], dR[d], db[d]
-    dxs = (dz @ W).reshape(2, B, T, D)
+    grads[f"layer{layer}.W"] = dz.transpose(0, 2, 1) @ xs.reshape(2, B * T, D)
+    grads[f"layer{layer}.R"] = dz.transpose(0, 2, 1) @ hs[:, :, :-1].reshape(2, B * T, H)
+    grads[f"layer{layer}.b"] = dz.sum(axis=1)
+    dxs = (dz @ params[f"layer{layer}.W"]).reshape(2, B, T, D)
     dx = dxs[0]
     dx += _reverse_padded(dxs[1], lengths)
     return dx
@@ -279,15 +269,16 @@ def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
 
 def load_checkpoint(path):
     """Returns (parameters, vocabulary). A missing, truncated or garbled
-    checkpoint, or one whose tensor list or vocabulary does not fit its
-    model config, is a DataError."""
+    checkpoint, or one whose tensor list or vocabulary (unique labels,
+    the blank first) does not fit its model config, is a DataError."""
     try:
         with open(path, "rb") as fh:
             if fh.read(8) != CHECKPOINT_MAGIC:
                 raise DataError(f"{path}: wrong file magic")
             version, header_len = struct.unpack("<II", fh.read(8))
             if version != CONTAINER_VERSION:
-                raise DataError(f"{path}: unsupported container version {version}")
+                raise DataError(f"{path}: container version {version}, not "
+                                f"{CONTAINER_VERSION}; retrain the run to read it")
             header = json.loads(fh.read(header_len).decode("utf-8"))
             config = ModelConfig(**header["config"])
             shapes = parameter_shapes(config)
@@ -298,7 +289,8 @@ def load_checkpoint(path):
                 data = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8")
                 tensors[name] = data.reshape(shape).copy()
             vocabulary = header["vocabulary"]
-            if not (isinstance(vocabulary, list) and len(vocabulary) == config.output_dim
+            if not (isinstance(vocabulary, list) and vocabulary[:1] == [BLANK]
+                    and len(set(vocabulary)) == len(vocabulary) == config.output_dim
                     and all(isinstance(label, str) for label in vocabulary)):
                 raise DataError(f"{path}: vocabulary does not match the model config")
     except OSError as exc:

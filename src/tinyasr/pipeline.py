@@ -22,6 +22,7 @@ from .features import FeatureConfig, extract_features
 from .model import ModelConfig, decode, load_checkpoint
 from .training import TrainItem, rng_for, split_corpus, train
 from .variants import (
+    VARIANTS,
     G2PRuleSet,
     LabelVocabulary,
     build_vocabulary,
@@ -78,12 +79,8 @@ def corpus_units(records, variant, g2p_path, alignments_path, gap_threshold):
     rules and word alignments from the given paths when it needs them."""
     g2p = alignments = None
     if variant.startswith("ipa"):
-        if g2p_path is None or not Path(g2p_path).exists():
-            raise ConfigError(f"variant '{variant}' needs a G2P rule file")
         g2p = G2PRuleSet.from_tsv(g2p_path)
     if variant == "ipa-pause-boundaries":
-        if alignments_path is None or not Path(alignments_path).exists():
-            raise ConfigError("variant 'ipa-pause-boundaries' needs word alignments")
         alignments = load_alignments(alignments_path)
     return {
         record.id: variant_units(record, variant, g2p, alignments, gap_threshold)
@@ -254,6 +251,8 @@ def _read_run_info(run_dir) -> dict:
         raise DataError(f"{path}: not a run record (needs {', '.join(_RUN_TYPES)})")
     try:
         check_section({key: info[key] for key in _RUN_TYPES}, _RUN_TYPES, RUN_FILE)
+        if info["variant"] not in VARIANTS:
+            raise ConfigError(f"unknown transcript variant '{info['variant']}'")
         check_section(info["feature_config"], FEATURE_TYPES, "feature_config")
         FeatureConfig(**info["feature_config"])  # rejects values that cannot work
         id_lists = [*info["splits"].values(), info["subset"] or []]

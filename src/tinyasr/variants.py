@@ -6,6 +6,7 @@ version keeping only word boundaries that fall on real pauses in a word
 alignment.
 """
 
+import math
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,6 +173,8 @@ def load_alignments(path) -> dict:
             words = [(w["w"], float(w["start_s"]), float(w["end_s"])) for w in row["words"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{name} line {lineno}: each word needs w, start_s and end_s") from exc
+        if not all(math.isfinite(t) for word in words for t in word[1:]):
+            raise DataError(f"{name} line {lineno}: word times must be finite")
         alignments[row["id"]] = WordAlignment(row["id"], words)
     return alignments
 

@@ -40,6 +40,20 @@ def _set_run_key(key, value):
     return damage
 
 
+def _set_checkpoint_version(version):
+    def damage(run):
+        data = (run / "checkpoint.bin").read_bytes()
+        (run / "checkpoint.bin").write_bytes(data[:8] + struct.pack("<I", version) + data[12:])
+    return damage
+
+
+def _both(first, second):
+    def damage(run):
+        first(run)
+        second(run)
+    return damage
+
+
 def _drop_from_manifest(split):
     """Remove the manifest line of a split's first utterance."""
     def damage(run):
@@ -173,6 +187,9 @@ class TestConfigParsing:
         ("features", "fmin", 9000.0),
         ("features", "fmin", -1.0),
         ("features", "fmax", 9000.0),
+        ("train", "split_train", float("nan")),
+        ("train", "learning_rate", float("nan")),
+        (None, "pause_gap_threshold", float("nan")),
     ])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
         raw = self.base()
@@ -231,6 +248,17 @@ class TestExitCodes:
         assert main(["train", "--config", str(path), "--fast"]) == 2
         err = capsys.readouterr().err
         assert "duplicate utterance id" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_g2p_rules_exits_2(self, tone_corpus, tmp_path, capsys):
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "ipa-no-spaces", "g2p_rules": "missing.tsv",
+                  "out_dir": str(tmp_path / "runs")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert "missing.tsv" in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
     def test_prepare_missing_dir_exits_2(self, tmp_path):
@@ -446,7 +474,7 @@ class TestTrainedRun:
         assert swept["ler"] == full["ler"]
         assert swept["utterances"] == full["utterances"]
 
-    @pytest.mark.parametrize("sizes", ["a,b", "-30", "0,10"])
+    @pytest.mark.parametrize("sizes", ["a,b", "-30", "0,10", "10,10"])
     def test_sweep_sizes_not_positive_counts_exit_1(self, trained_run, capsys, sizes):
         rc = main(["sweep", "--config", str(trained_run["config"]), "--sizes", sizes])
         err = capsys.readouterr().err
@@ -509,6 +537,13 @@ class TestTrainedRun:
         ("evaluate", _drop_from_manifest("train")),
         ("transcribe", _set_run_key("feature_config", {"frame_shift_s": 0})),
         ("evaluate", lambda run: _repeat_first_id(run / "manifest.jsonl")),
+        ("evaluate", _set_run_key("variant", "bogus")),
+        ("evaluate", _set_run_key("variant", "ipa-pause-boundaries")),
+        ("evaluate", _both(_set_run_key("variant", "ipa-pause-boundaries"),
+                           _replace("g2p.tsv", b""))),
+        ("evaluate", _set_checkpoint_version(1)),
+        ("evaluate", _edit_checkpoint_header(
+            lambda h: h.update(vocabulary=["x", *h["vocabulary"][1:]]))),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
@@ -518,7 +553,10 @@ class TestTrainedRun:
             "transcribe-int-feature-config", "evaluate-header-without-config",
             "transcribe-text-input-dim", "evaluate-tensor-without-shape",
             "evaluate-int-vocabulary", "evaluate-manifest-lacks-train-id",
-            "transcribe-zero-frame-shift", "evaluate-manifest-duplicate-id"])
+            "transcribe-zero-frame-shift", "evaluate-manifest-duplicate-id",
+            "evaluate-bogus-variant", "evaluate-pause-run-without-g2p",
+            "evaluate-pause-run-without-words", "evaluate-container-version-1",
+            "evaluate-vocabulary-without-blank"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"

@@ -139,6 +139,18 @@ class TestManifestParsing:
                                             r"'u1' \(first on line 1\)"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("start_s", float("nan")), ("end_s", float("inf")), ("start_s", float("-inf")),
+    ])
+    def test_non_finite_time_names_line(self, tmp_path, key, value):
+        path = tmp_path / "m.jsonl"
+        row = {"id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,
+               "transcript": "ej", "speaker": "KP"}
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "id": "u2", key: value})
+                        + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="m.jsonl line 2: start_s/end_s must be finite"):
+            read_manifest(path)
+
     def test_empty_speaker_falls_back_to_tier(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({

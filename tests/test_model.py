@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyasr.errors import ConfigError, DataError
 from tinyasr.model import (
@@ -71,9 +75,10 @@ class TestInit:
     def test_forget_gate_bias_is_one(self):
         config = ModelConfig(input_dim=3, vocab_size=2, num_layers=1, hidden_units=4)
         params = init_parameters(config, 0)
-        bias = params["layer0.fwd.b"]
-        assert np.all(bias[4:8] == 1.0)
-        assert np.all(bias[:4] == 0.0)
+        bias = params["layer0.b"]
+        assert bias.shape == (2, 16)
+        assert np.all(bias[:, 4:8] == 1.0)
+        assert np.all(bias[:, :4] == 0.0) and np.all(bias[:, 8:] == 0.0)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -135,12 +140,9 @@ class TestForward:
         params = init_parameters(config, 7)
         H = config.hidden_units
         swapped = {
-            "layer0.fwd.W": params["layer0.bwd.W"],
-            "layer0.fwd.R": params["layer0.bwd.R"],
-            "layer0.fwd.b": params["layer0.bwd.b"],
-            "layer0.bwd.W": params["layer0.fwd.W"],
-            "layer0.bwd.R": params["layer0.fwd.R"],
-            "layer0.bwd.b": params["layer0.fwd.b"],
+            "layer0.W": params["layer0.W"][::-1],
+            "layer0.R": params["layer0.R"][::-1],
+            "layer0.b": params["layer0.b"][::-1],
             "proj.W": np.concatenate(
                 [params["proj.W"][:, H:], params["proj.W"][:, :H]], axis=1),
             "proj.b": params["proj.b"],
@@ -256,3 +258,54 @@ class TestCheckpoint:
         path.write_bytes(b"XXXXXXXX" + b"\x00" * 16)
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
+
+    def test_earlier_container_version_names_version(self, tmp_path):
+        config = ModelConfig(input_dim=2, vocab_size=1, num_layers=1, hidden_units=2)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, init_parameters(config, 0), ["<blank>", "a"])
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
+        with pytest.raises(DataError, match="container version 1"):
+            load_checkpoint(path)
+
+
+SAVED_CONFIG = ModelConfig(input_dim=3, vocab_size=2, num_layers=2, hidden_units=2)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """The bytes of a small saved model, and a directory to damage copies in."""
+    root = tmp_path_factory.mktemp("checkpoint")
+    save_checkpoint(root / "model.bin", init_parameters(SAVED_CONFIG, 4),
+                    ["<blank>", "a", "b"])
+    return root, (root / "model.bin").read_bytes()
+
+
+def load_or_data_error(path):
+    """A damaged checkpoint loads with the saved shapes or is a DataError."""
+    try:
+        params, _ = load_checkpoint(path)
+    except DataError:
+        return
+    assert params.config == SAVED_CONFIG
+    assert [(n, t.shape) for n, t in params.tensors.items()] == list(
+        parameter_shapes(SAVED_CONFIG).items())
+
+
+class TestDamagedCheckpoint:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=st.data())
+    def test_cut_at_any_length(self, saved_checkpoint, drawn):
+        root, data = saved_checkpoint
+        path = root / "cut.bin"
+        path.write_bytes(data[:drawn.draw(st.integers(0, len(data)), label="length")])
+        load_or_data_error(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=st.data(), byte=st.integers(0, 255))
+    def test_any_byte_replaced(self, saved_checkpoint, drawn, byte):
+        root, data = saved_checkpoint
+        at = drawn.draw(st.integers(0, len(data) - 1), label="position")
+        path = root / "changed.bin"
+        path.write_bytes(data[:at] + bytes([byte]) + data[at + 1:])
+        load_or_data_error(path)

@@ -126,8 +126,8 @@ class TestAdam:
         assert np.allclose(clipped["w"], [3.0, 4.0])
 
     def test_non_finite_gradient_names_tensor(self):
-        grads = {"layer0.fwd.W": np.array([np.nan])}
-        with pytest.raises(TrainingError, match="layer0.fwd.W"):
+        grads = {"layer0.W": np.array([np.nan])}
+        with pytest.raises(TrainingError, match="layer0.W"):
             clip_global_norm(grads, 5.0)
 
     def test_zero_learning_rate_is_identity_over_steps(self):

@@ -163,8 +163,9 @@ class TestPauseBoundaries:
         b'{"id": "u1", "words": 3}',
         b'{"id": "u1", "words": [{"w": "a", "start_s": "x", "end_s": 1.0}]}',
         b"\xff\xfe",
+        b'{"id": "u1", "words": [{"w": "a", "start_s": NaN, "end_s": 1.0}]}',
     ], ids=["not-an-object", "word-without-w", "words-not-a-list", "time-not-a-number",
-            "not-utf8"])
+            "not-utf8", "time-nan"])
     def test_malformed_alignment_line_names_line(self, tmp_path, line):
         path = tmp_path / "words.jsonl"
         path.write_bytes(b'{"id": "u0", "words": []}\n' + line + b"\n")

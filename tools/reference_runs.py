@@ -11,8 +11,9 @@ tone0000-tone0005 both ways; those outputs are kept under
 OUT_DIR/evaluations and OUT_DIR/transcripts.
 
 Prints one line per run: its name, the sha256 of its checkpoint.bin, the
-test LER, best_dev_ler and best_epoch. Run it on two trees and compare the
-lines, then the files (`diff -r`), to see whether a change moved any bit.
+test LER, best_dev_ler and best_epoch, and writes the same lines to
+OUT_DIR/summary.tsv. Run it on two trees and compare the two summaries
+(`diff`), then the files (`diff -r`), to see whether a change moved any bit.
 """
 
 import hashlib
@@ -92,14 +93,17 @@ def reference_runs(out_dir: Path) -> None:
     out_dir.mkdir(parents=True)
     generate_tone_corpus(out_dir / "corpus", n_utterances=60, seed=3)
     (out_dir / "transcripts").mkdir()
-    for variant in VARIANTS:
-        config = str(write_config(out_dir, variant))
-        tinyasr("sweep", "--config", config, "--fast",
-                "--sizes", ",".join(str(s) for s in SIZES))
-        tinyasr("train", "--config", config, "--fast")
-        names = [f"{variant}-n{size}" for size in SIZES] + [variant]
-        for name in names:
-            print(check_run(out_dir, out_dir / "runs" / name), flush=True)
+    with open(out_dir / "summary.tsv", "w", encoding="utf-8") as summary:
+        for variant in VARIANTS:
+            config = str(write_config(out_dir, variant))
+            tinyasr("sweep", "--config", config, "--fast",
+                    "--sizes", ",".join(str(s) for s in SIZES))
+            tinyasr("train", "--config", config, "--fast")
+            names = [f"{variant}-n{size}" for size in SIZES] + [variant]
+            for name in names:
+                line = check_run(out_dir, out_dir / "runs" / name)
+                print(line, flush=True)
+                summary.write(line + "\n")
 
 
 if __name__ == "__main__":
