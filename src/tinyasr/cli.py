@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: prepare, train, evaluate, transcribe, sweep, error-report.
-Exit codes: 0 success, 1 config error, 2 data error, 3 training failure.
+Exit codes: 0 success, 1 config error or an output that cannot be written,
+2 data error, 3 training failure.
 """
 
 import argparse
@@ -99,11 +100,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_error_report(args) -> int:
     report_path = Path(args.run) / f"report-{args.split}.json"
-    if not report_path.exists():
-        raise DataError(
-            f"no report for split '{args.split}' in {args.run} (run evaluate first)"
-        )
-    report = report_from_json(report_path.read_bytes())
+    try:
+        data = report_path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"no readable report for split '{args.split}' in {args.run} "
+                        f"({exc.strerror}; run evaluate first)") from exc
+    report = report_from_json(data)
     print(confusion_report(report, args.top_k), end="")
     return 0
 
@@ -164,6 +166,10 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # not wrapped in a DataError: an output that cannot be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ config file's directory.
 """
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args
 
+from .corpus import is_finite_number
 from .errors import ConfigError
 from .features import FeatureConfig
 from .training import TrainConfig
@@ -32,8 +32,9 @@ _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
 
 
 def check_section(section: dict, types: dict, where: str) -> dict:
-    """Unknown keys, ill-typed values and non-finite floats are errors. A
-    JSON integer is a valid float; a boolean is no number."""
+    """Unknown keys, ill-typed values and floats that are not finite are
+    errors. A JSON integer is a valid float unless it is too large for one;
+    a boolean is no number."""
     for key, value in section.items():
         if key not in types:
             raise ConfigError(f"unknown config key '{key}' in {where}")
@@ -41,8 +42,8 @@ def check_section(section: dict, types: dict, where: str) -> dict:
         kinds += (int,) if float in kinds else ()
         if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
             raise ConfigError(f"ill-typed config key '{key}' in {where}: {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"config key '{key}' in {where} must be finite, got {value!r}")
+        if float in kinds and value is not None and not is_finite_number(value):
+            raise ConfigError(f"config key '{key}' in {where} must be a finite number")
     return section
 
 

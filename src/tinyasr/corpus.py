@@ -151,6 +151,8 @@ def parse_eaf_subset(path, tier=None) -> list:
     path = Path(path)
     try:
         tree = ET.parse(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ET.ParseError as exc:
         raise DataError(f"{path.name}: malformed XML ({exc})") from exc
     root = tree.getroot()
@@ -215,6 +217,18 @@ def text_lines(path):
             yield lineno, raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path.name} line {lineno}: not UTF-8 text") from exc
+
+
+def is_finite_number(value) -> bool:
+    """Whether a JSON value is a number that converts to a finite float.
+    A boolean is no number; an integer too large for a float is not
+    finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def read_json_lines(path):
@@ -348,7 +362,7 @@ def read_manifest(path) -> list:
             raise DataError(f"{name} line {lineno}: duplicate utterance id '{utt_id}' "
                             f"(first on line {first_line[utt_id]})")
         start_s, end_s = row["start_s"], row["end_s"]
-        if not all(isinstance(t, (int, float)) and math.isfinite(t) for t in (start_s, end_s)):
+        if not (is_finite_number(start_s) and is_finite_number(end_s)):
             raise DataError(f"{name} line {lineno}: start_s/end_s must be finite numbers")
         if start_s >= end_s:
             raise DataError(

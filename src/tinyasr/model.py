@@ -9,6 +9,7 @@ valid frames, in either pass.
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import ctc
 from .errors import ConfigError, DataError
-from .variants import BLANK
+from .variants import LabelVocabulary
 
 CHECKPOINT_MAGIC = b"TASRMODL"
 CONTAINER_VERSION = 2
@@ -41,17 +42,19 @@ class ModelConfig:
 
 
 class ModelParameters:
-    """Named parameter tensors plus the config they belong to."""
+    """One float64 vector, flat, in parameter_shapes order, with tensors as
+    its named views. Zeros unless given a vector of exactly that length."""
 
-    def __init__(self, config: ModelConfig, tensors: dict):
+    def __init__(self, config: ModelConfig, flat=None):
+        shapes = parameter_shapes(config)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
         self.config = config
-        self.tensors = dict(tensors)
+        self.flat = np.zeros(ends[-1]) if flat is None else flat.reshape(ends[-1])
+        self.tensors = {name: part.reshape(shape) for (name, shape), part
+                        in zip(shapes.items(), np.split(self.flat, ends[:-1]))}
 
     def __getitem__(self, name):
         return self.tensors[name]
-
-    def names(self):
-        return list(self.tensors.keys())
 
 
 def parameter_shapes(config: ModelConfig) -> dict:
@@ -74,16 +77,16 @@ def init_parameters(config: ModelConfig, seed: int) -> ModelParameters:
     before R, then the projection."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     H, layers = config.hidden_units, range(config.num_layers)
-    tensors = {name: np.zeros(shape) for name, shape in parameter_shapes(config).items()}
-    matrices = [tensors[f"layer{layer}.{kind}"][d] for layer in layers for d in (0, 1)
+    params = ModelParameters(config)
+    matrices = [params[f"layer{layer}.{kind}"][d] for layer in layers for d in (0, 1)
                 for kind in "WR"]
-    for matrix in matrices + [tensors["proj.W"]]:
+    for matrix in matrices + [params["proj.W"]]:
         fan_out, fan_in = matrix.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         matrix[...] = rng.uniform(-limit, limit, size=matrix.shape)
     for layer in layers:
-        tensors[f"layer{layer}.b"][:, H:2 * H] = 1.0
-    return ModelParameters(config, tensors)
+        params[f"layer{layer}.b"][:, H:2 * H] = 1.0
+    return params
 
 
 def _sigmoid(x):
@@ -188,7 +191,7 @@ def decode(params: ModelParameters, features, beam_width=None):
 
 def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
     """Backpropagate both directions of one layer through time in a single
-    loop; adds the layer's gradients to grads and returns d(layer input)."""
+    loop; writes the layer's gradients into grads, returns d(layer input)."""
     R = params[f"layer{layer}.R"]
     xs, gates, cs, hs = layer_cache
     _, B, T, D = xs.shape
@@ -212,9 +215,10 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
         dc_next = dc * gf
 
     dz = dz.reshape(2, B * T, 4 * H)
-    grads[f"layer{layer}.W"] = dz.transpose(0, 2, 1) @ xs.reshape(2, B * T, D)
-    grads[f"layer{layer}.R"] = dz.transpose(0, 2, 1) @ hs[:, :, :-1].reshape(2, B * T, H)
-    grads[f"layer{layer}.b"] = dz.sum(axis=1)
+    np.matmul(dz.transpose(0, 2, 1), xs.reshape(2, B * T, D), out=grads[f"layer{layer}.W"])
+    np.matmul(dz.transpose(0, 2, 1), hs[:, :, :-1].reshape(2, B * T, H),
+              out=grads[f"layer{layer}.R"])
+    dz.sum(axis=1, out=grads[f"layer{layer}.b"])
     dxs = (dz @ params[f"layer{layer}.W"]).reshape(2, B, T, D)
     dx = dxs[0]
     dx += _reverse_padded(dxs[1], lengths)
@@ -223,7 +227,7 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
 
 def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
     """Exact gradients of a scalar loss w.r.t. every parameter, given the
-    loss gradient on each utterance's logits."""
+    loss gradient on each utterance's logits, as a ModelParameters."""
     if cache.params is not params:
         raise ValueError("forward cache does not belong to these parameters")
     if len(dlogits_list) != len(cache.lengths):
@@ -238,10 +242,10 @@ def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
             raise ValueError(f"logits gradient {dl.shape} does not match ({length}, {K})")
         dlogits[b, :length] = dl
 
-    grads = {}
+    grads = ModelParameters(config)
     flat_dl = dlogits.reshape(-1, K)
-    grads["proj.W"] = flat_dl.T @ cache.top.reshape(-1, 2 * config.hidden_units)
-    grads["proj.b"] = flat_dl.sum(axis=0)
+    np.matmul(flat_dl.T, cache.top.reshape(-1, 2 * config.hidden_units), out=grads["proj.W"])
+    flat_dl.sum(axis=0, out=grads["proj.b"])
 
     dx = dlogits @ params["proj.W"]
     for layer in range(config.num_layers - 1, -1, -1):
@@ -251,8 +255,8 @@ def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
 
 def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
     """Layout: magic, version, json header (config, vocabulary, tensor
-    list), then the named tensors as little-endian float64 in header
-    order."""
+    list), then the parameter vector as little-endian float64, which holds
+    the tensors in header order."""
     header = {
         "config": asdict(params.config),
         "vocabulary": list(vocabulary),
@@ -263,14 +267,13 @@ def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(blob)))
         fh.write(blob)
-        for tensor in params.tensors.values():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        params.flat.astype("<f8", copy=False).tofile(fh)
 
 
 def load_checkpoint(path):
-    """Returns (parameters, vocabulary). A missing, truncated or garbled
-    checkpoint, or one whose tensor list or vocabulary (unique labels,
-    the blank first) does not fit its model config, is a DataError."""
+    """Returns (parameters, LabelVocabulary). A missing, truncated or
+    garbled checkpoint, or one whose tensor list or vocabulary does not fit
+    its model config, is a DataError."""
     try:
         with open(path, "rb") as fh:
             if fh.read(8) != CHECKPOINT_MAGIC:
@@ -284,19 +287,16 @@ def load_checkpoint(path):
             shapes = parameter_shapes(config)
             if header["tensors"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
                 raise DataError(f"{path}: tensor list does not match the model config")
-            tensors = {}
-            for name, shape in shapes.items():
-                data = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8")
-                tensors[name] = data.reshape(shape).copy()
-            vocabulary = header["vocabulary"]
-            if not (isinstance(vocabulary, list) and vocabulary[:1] == [BLANK]
-                    and len(set(vocabulary)) == len(vocabulary) == config.output_dim
-                    and all(isinstance(label, str) for label in vocabulary)):
+            labels = header["vocabulary"]
+            if not isinstance(labels, list) or len(labels) != config.output_dim:
                 raise DataError(f"{path}: vocabulary does not match the model config")
+            vocabulary = LabelVocabulary(labels=tuple(labels))
+            # to the end of the file: the file, not the header, bounds the read
+            params = ModelParameters(config, np.fromfile(fh, dtype="<f8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: truncated or garbled ({exc})") from exc
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: not a checkpoint header ({exc!r})") from exc
-    return ModelParameters(config, tensors), vocabulary
+    return params, vocabulary

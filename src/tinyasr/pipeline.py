@@ -245,7 +245,7 @@ def _read_run_info(run_dir) -> dict:
         raise DataError(f"not a run directory (no {RUN_FILE}): {run_dir}")
     try:
         info = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"{path}: unreadable ({exc})") from exc
     if not isinstance(info, dict) or any(key not in info for key in _RUN_TYPES):
         raise DataError(f"{path}: not a run record (needs {', '.join(_RUN_TYPES)})")
@@ -267,9 +267,8 @@ def _read_run_info(run_dir) -> dict:
 
 def _load_run_model(run_dir, run_info):
     """A finished run's parameters, label vocabulary and feature config."""
-    params, labels = load_checkpoint(Path(run_dir) / "checkpoint.bin")
-    feature_config = FeatureConfig(**run_info["feature_config"])
-    return params, LabelVocabulary(labels=tuple(labels)), feature_config
+    params, vocab = load_checkpoint(Path(run_dir) / "checkpoint.bin")
+    return params, vocab, FeatureConfig(**run_info["feature_config"])
 
 
 def _load_split(run_dir, run_info, split, vocab, feature_config):

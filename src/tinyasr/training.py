@@ -9,7 +9,7 @@ checkpoints bit for bit.
 import json
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -126,41 +126,37 @@ def make_batches(items, batch_size: int, rng=None):
 
 @dataclass
 class AdamState:
+    """The step count and both moments, vectors in the parameter layout."""
+
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | float = 0.0
+    v: np.ndarray | float = 0.0
 
 
-def clip_global_norm(grads, max_norm: float):
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
-    total = 0.0
-    for name, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite gradient in tensor '{name}'")
-        total += float((grad * grad).sum())
-    norm = np.sqrt(total)
+def clip_global_norm(grads: ModelParameters, max_norm: float):
+    """The gradient vector scaled so its L2 norm is at most max_norm (0
+    never clips), and the norm before scaling."""
+    if not np.isfinite(grads.flat).all():
+        name = next(n for n, grad in grads.tensors.items() if not np.isfinite(grad).all())
+        raise TrainingError(f"non-finite gradient in tensor '{name}'")
+    norm = np.sqrt(np.sum(grads.flat * grads.flat))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        return {name: grad * scale for name, grad in grads.items()}, norm
-    return grads, norm
+        return grads.flat * (max_norm / norm), norm
+    return grads.flat, norm
 
 
 def adam_step(params: ModelParameters, grads, state: AdamState, config: TrainConfig):
     """One Adam update with bias correction, clipping applied first.
     Returns fresh parameter and state objects (inputs are not mutated)."""
-    grads, _ = clip_global_norm(grads, config.grad_clip_norm)
+    g, _ = clip_global_norm(grads, config.grad_clip_norm)
     t = state.step + 1
     b1, b2 = config.beta1, config.beta2
-    new_m, new_v, new_tensors = {}, {}, {}
-    for name, value in params.tensors.items():
-        g = grads[name]
-        m = b1 * state.m.get(name, 0.0) + (1 - b1) * g
-        v = b2 * state.v.get(name, 0.0) + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        new_m[name], new_v[name] = m, v
-        new_tensors[name] = value - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    return ModelParameters(params.config, new_tensors), AdamState(t, new_m, new_v)
+    m = b1 * state.m + (1 - b1) * g
+    v = b2 * state.v + (1 - b2) * g * g
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return ModelParameters(params.config, flat), AdamState(t, m, v)
 
 
 @dataclass
@@ -216,6 +212,7 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                     raise TrainingError(
                         f"training diverged (non-finite loss) at epoch {epoch}; {kept}")
                 grads = backward_batch(params, cache, dlogits)
+                del cache  # the activations are not needed by the update; free them first
                 params, adam = adam_step(params, grads, adam, train_config)
 
             train_loss = total_loss / len(train_items)

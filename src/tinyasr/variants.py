@@ -6,12 +6,11 @@ version keeping only word boundaries that fall on real pauses in a word
 alignment.
 """
 
-import math
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import read_json_lines, text_lines
+from .corpus import is_finite_number, read_json_lines, text_lines
 from .errors import ConfigError, DataError
 
 BLANK = "<blank>"
@@ -54,6 +53,8 @@ class LabelVocabulary:
     labels: tuple
 
     def __post_init__(self):
+        if not all(isinstance(label, str) for label in self.labels):
+            raise ConfigError("vocabulary labels must be strings")
         if not self.labels or self.labels[0] != BLANK:
             raise ConfigError("vocabulary must reserve index 0 for the blank label")
         if len(set(self.labels)) != len(self.labels):
@@ -170,12 +171,13 @@ def load_alignments(path) -> dict:
         if not isinstance(row.get("id"), str) or not isinstance(row.get("words"), list):
             raise DataError(f"{name} line {lineno}: expected an id string and a words list")
         try:
-            words = [(w["w"], float(w["start_s"]), float(w["end_s"])) for w in row["words"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            words = [(w["w"], w["start_s"], w["end_s"]) for w in row["words"]]
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{name} line {lineno}: each word needs w, start_s and end_s") from exc
-        if not all(math.isfinite(t) for word in words for t in word[1:]):
-            raise DataError(f"{name} line {lineno}: word times must be finite")
-        alignments[row["id"]] = WordAlignment(row["id"], words)
+        if not all(is_finite_number(t) for word in words for t in word[1:]):
+            raise DataError(f"{name} line {lineno}: word times must be finite numbers")
+        alignments[row["id"]] = WordAlignment(
+            row["id"], [(surface, float(start), float(end)) for surface, start, end in words])
     return alignments
 
 

@@ -32,6 +32,14 @@ def _replace(name, data):
     return lambda run: (run / name).write_bytes(data)
 
 
+def _make_dir(name):
+    """Replace a run file by a directory of the same name."""
+    def damage(run):
+        (run / name).unlink()
+        (run / name).mkdir()
+    return damage
+
+
 def _set_run_key(key, value):
     def damage(run):
         info = json.loads((run / "run.json").read_text())
@@ -190,6 +198,9 @@ class TestConfigParsing:
         ("train", "split_train", float("nan")),
         ("train", "learning_rate", float("nan")),
         (None, "pause_gap_threshold", float("nan")),
+        *(pytest.param(section, key, 10 ** 400, id=f"{section}-{key}-401-digits")
+          for section, key in [(None, "pause_gap_threshold"), ("features", "frame_length_s"),
+                               ("train", "learning_rate"), ("train", "grad_clip_norm")]),
     ])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
         raw = self.base()
@@ -260,6 +271,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing.tsv" in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+
+    def test_prepare_out_is_a_file_exits_1(self, golden_corpus, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["prepare", str(golden_corpus), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+
+    def test_train_out_dir_is_a_file_exits_1(self, tone_corpus, tmp_path, capsys):
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", "out_dir": str(out_dir)}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--fast"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out_dir / 'x'}: ") and "Traceback" not in err
 
     def test_prepare_missing_dir_exits_2(self, tmp_path):
         assert main(["prepare", str(tmp_path / "nowhere"), "--out",
@@ -544,6 +573,11 @@ class TestTrainedRun:
         ("evaluate", _set_checkpoint_version(1)),
         ("evaluate", _edit_checkpoint_header(
             lambda h: h.update(vocabulary=["x", *h["vocabulary"][1:]]))),
+        ("evaluate", _edit_checkpoint_header(
+            lambda h: h.update(vocabulary=[*h["vocabulary"][:-1], 5]))),
+        ("evaluate", _set_run_key("pause_gap_threshold", 10 ** 400)),
+        ("evaluate", _make_dir("run.json")),
+        ("error-report", _make_dir("report-test.json")),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
@@ -556,7 +590,9 @@ class TestTrainedRun:
             "transcribe-zero-frame-shift", "evaluate-manifest-duplicate-id",
             "evaluate-bogus-variant", "evaluate-pause-run-without-g2p",
             "evaluate-pause-run-without-words", "evaluate-container-version-1",
-            "evaluate-vocabulary-without-blank"])
+            "evaluate-vocabulary-without-blank", "evaluate-vocabulary-with-number",
+            "evaluate-huge-pause-gap", "evaluate-run-json-is-a-directory",
+            "error-report-report-is-a-directory"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"
@@ -608,4 +644,4 @@ class TestIpaPauseVariant:
         row, report = evaluate_run(run, split="test")
         assert report.n_utterances == len(info["splits"]["test"])
         _, vocab = load_checkpoint(run / "checkpoint.bin")
-        assert " " in vocab  # pause variant keeps a space label
+        assert " " in vocab.labels  # pause variant keeps a space label

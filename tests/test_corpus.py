@@ -75,6 +75,12 @@ class TestEafParsing:
         with pytest.raises(DataError, match="line"):
             parse_eaf_subset(path)
 
+    def test_unreadable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "folder.eaf"
+        path.mkdir()
+        with pytest.raises(DataError, match="cannot read"):
+            parse_eaf_subset(path)
+
 
 class TestManifestParsing:
     def test_valid_line(self, tmp_path):
@@ -141,6 +147,7 @@ class TestManifestParsing:
 
     @pytest.mark.parametrize("key,value", [
         ("start_s", float("nan")), ("end_s", float("inf")), ("start_s", float("-inf")),
+        pytest.param("end_s", 10 ** 400, id="end_s-401-digits"),
     ])
     def test_non_finite_time_names_line(self, tmp_path, key, value):
         path = tmp_path / "m.jsonl"

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -55,14 +56,13 @@ class TestInit:
         config = ModelConfig(input_dim=5, vocab_size=3, num_layers=2, hidden_units=7)
         a = init_parameters(config, 42)
         b = init_parameters(config, 42)
-        for name in a.names():
-            assert a[name].tobytes() == b[name].tobytes()
+        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_different_seeds_differ(self):
         config = ModelConfig(input_dim=5, vocab_size=3, num_layers=2, hidden_units=7)
         a = init_parameters(config, 1)
         b = init_parameters(config, 2)
-        assert any(not np.array_equal(a[n], b[n]) for n in a.names())
+        assert any(not np.array_equal(a[n], b[n]) for n in a.tensors)
 
     def test_projection_shape(self):
         config = ModelConfig(input_dim=123, vocab_size=3, num_layers=3,
@@ -83,6 +83,26 @@ class TestInit:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(input_dim=3, vocab_size=2, num_layers=0, hidden_units=4)
+
+
+class TestParameterVector:
+    CONFIG = ModelConfig(input_dim=3, vocab_size=2, num_layers=2, hidden_units=2)
+
+    def test_tensors_are_views_in_shape_order(self):
+        vector = np.arange(ModelParameters(self.CONFIG).flat.size, dtype=float)
+        params = ModelParameters(self.CONFIG, vector)
+        assert [(n, t.shape) for n, t in params.tensors.items()] == list(
+            parameter_shapes(self.CONFIG).items())
+        assert np.array_equal(np.concatenate([t.ravel() for t in params.tensors.values()]),
+                              vector)
+        params["proj.b"][0] = -1.0
+        assert vector[-params["proj.b"].size] == -1.0
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_vector_of_wrong_length_rejected(self, delta):
+        size = ModelParameters(self.CONFIG).flat.size
+        with pytest.raises(ValueError):
+            ModelParameters(self.CONFIG, np.zeros(size + delta))
 
 
 class TestSigmoid:
@@ -114,10 +134,8 @@ class TestSigmoid:
 class TestForward:
     def test_zero_parameters_give_uniform_logits(self):
         config = ModelConfig(input_dim=3, vocab_size=3, num_layers=2, hidden_units=4)
-        params = init_parameters(config, 0)
-        zeroed = ModelParameters(config, {n: np.zeros_like(t)
-                                          for n, t in params.tensors.items()})
-        (logits,), _ = forward_batch(zeroed, [np.random.default_rng(0).normal(size=(6, 3))])
+        feats = np.random.default_rng(0).normal(size=(6, 3))
+        (logits,), _ = forward_batch(ModelParameters(config), [feats])
         assert np.allclose(logits, logits[0, 0])
 
     def test_single_frame_shape(self):
@@ -139,15 +157,12 @@ class TestForward:
         config = ModelConfig(input_dim=3, vocab_size=2, num_layers=1, hidden_units=5)
         params = init_parameters(config, 7)
         H = config.hidden_units
-        swapped = {
-            "layer0.W": params["layer0.W"][::-1],
-            "layer0.R": params["layer0.R"][::-1],
-            "layer0.b": params["layer0.b"][::-1],
-            "proj.W": np.concatenate(
-                [params["proj.W"][:, H:], params["proj.W"][:, :H]], axis=1),
-            "proj.b": params["proj.b"],
-        }
-        mirrored = ModelParameters(config, swapped)
+        mirrored = ModelParameters(config)
+        for name in ("layer0.W", "layer0.R", "layer0.b"):
+            mirrored[name][...] = params[name][::-1]
+        mirrored["proj.W"][...] = np.concatenate(
+            [params["proj.W"][:, H:], params["proj.W"][:, :H]], axis=1)
+        mirrored["proj.b"][...] = params["proj.b"]
         feats = rng.normal(size=(7, 3))
         (logits,), _ = forward_batch(params, [feats])
         (logits_rev,), _ = forward_batch(mirrored, [feats[::-1].copy()])
@@ -186,7 +201,7 @@ class TestBackward:
             weights = rng.normal(size=(T, config.output_dim))
             (logits,), cache = forward_batch(params, [feats])
             grads = backward_batch(params, cache, [weights])
-            for name in params.names():
+            for name in params.tensors:
                 fd = finite_difference(params, feats, weights, name)
                 scale = max(np.abs(grads[name]).max(), np.abs(fd).max(), 1e-8)
                 err = np.abs(grads[name] - fd).max() / scale
@@ -200,7 +215,7 @@ class TestBackward:
         feats = rng.normal(size=(5, 3))
         (logits,), cache = forward_batch(params, [feats])
         grads = backward_batch(params, cache, [np.zeros_like(logits)])
-        for name, grad in grads.items():
+        for name, grad in grads.tensors.items():
             assert np.all(grad == 0.0), name
 
     def test_doubling_upstream_doubles_gradients(self):
@@ -213,7 +228,7 @@ class TestBackward:
         g1 = backward_batch(params, cache, [weights])
         (logits,), cache = forward_batch(params, [feats])
         g2 = backward_batch(params, cache, [2.0 * weights])
-        for name in g1:
+        for name in g1.tensors:
             assert np.allclose(2.0 * g1[name], g2[name], atol=1e-12)
 
     def test_batched_gradients_sum_per_utterance_gradients(self):
@@ -224,12 +239,11 @@ class TestBackward:
         weights = [rng.normal(size=(t, config.output_dim)) for t in (8, 3, 5)]
         _, cache = forward_batch(params, feats)
         batched = backward_batch(params, cache, weights)
-        summed = {n: np.zeros_like(t) for n, t in params.tensors.items()}
+        summed = ModelParameters(config)
         for f, w in zip(feats, weights):
             _, cache1 = forward_batch(params, [f])
-            for name, grad in backward_batch(params, cache1, [w]).items():
-                summed[name] += grad
-        for name in summed:
+            summed.flat += backward_batch(params, cache1, [w]).flat
+        for name in summed.tensors:
             assert np.allclose(summed[name], batched[name], atol=1e-10), name
 
     def test_mismatched_cache_rejected(self):
@@ -248,10 +262,38 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(path, params, ["<blank>", "a", "b", "c", " "])
         loaded, vocab = load_checkpoint(path)
-        assert vocab == ["<blank>", "a", "b", "c", " "]
+        assert vocab.labels == ("<blank>", "a", "b", "c", " ")
         assert loaded.config == config
-        for name in params.names():
-            assert loaded[name].tobytes() == params[name].tobytes()
+        for name, tensor in params.tensors.items():
+            assert loaded[name].tobytes() == tensor.tobytes()
+
+    def test_tensors_follow_header_in_shape_order(self, tmp_path):
+        config = ModelConfig(input_dim=3, vocab_size=2, num_layers=2, hidden_units=2)
+        params = init_parameters(config, 5)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, params, ["<blank>", "a", "b"])
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[12:16])
+        assert data[16 + header_len:] == b"".join(
+            params[name].astype("<f8").tobytes() for name in parameter_shapes(config))
+
+    def test_header_declaring_a_larger_model_rejected(self, tmp_path):
+        # 8e12 parameters: the reader must not allocate them before reading
+        config = ModelConfig(input_dim=2, vocab_size=1, num_layers=1, hidden_units=2)
+        huge = ModelConfig(input_dim=2, vocab_size=1, num_layers=1, hidden_units=10 ** 6)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, init_parameters(config, 0), ["<blank>", "a"])
+        data = path.read_bytes()
+        version, length = struct.unpack("<II", data[8:16])
+        header = json.loads(data[16:16 + length])
+        header["config"]["hidden_units"] = huge.hidden_units
+        header["tensors"] = [{"name": n, "shape": list(s)}
+                             for n, s in parameter_shapes(huge).items()]
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<II", version, len(blob)) + blob
+                         + data[16 + length:])
+        with pytest.raises(DataError, match="truncated or garbled"):
+            load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

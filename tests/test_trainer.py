@@ -5,7 +5,7 @@ import pytest
 
 from tinyasr.corpus import UtteranceRecord
 from tinyasr.errors import ConfigError, DataError, TrainingError
-from tinyasr.model import ModelConfig, init_parameters
+from tinyasr.model import ModelConfig, ModelParameters, init_parameters
 from tinyasr.training import (
     AdamState,
     TrainConfig,
@@ -92,6 +92,32 @@ class TestBatches:
             check_feasible(bad)
 
 
+def reference_adam(tensors, grad_dicts, config):
+    """Adam over tensors keyed by name, one tensor at a time, as the update
+    was first written; the clipping norm runs over the gradients
+    concatenated in layout order. Returns the tensors and both moments."""
+    b1, b2 = config.beta1, config.beta2
+    tensors, m, v = dict(tensors), {}, {}
+    for t, grads in enumerate(grad_dicts, start=1):
+        flat = np.concatenate([g.ravel() for g in grads.values()])
+        norm = np.sqrt(np.sum(flat * flat))
+        if config.grad_clip_norm > 0 and norm > config.grad_clip_norm:
+            grads = {name: g * (config.grad_clip_norm / norm) for name, g in grads.items()}
+        for name, value in tensors.items():
+            g = grads[name]
+            m[name] = b1 * m.get(name, 0.0) + (1 - b1) * g
+            v[name] = b2 * v.get(name, 0.0) + (1 - b2) * g * g
+            m_hat = m[name] / (1 - b1 ** t)
+            v_hat = v[name] / (1 - b2 ** t)
+            tensors[name] = value - config.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                                    + config.epsilon)
+    return tensors, m, v
+
+
+def concatenated(tensors) -> bytes:
+    return np.concatenate([t.ravel() for t in tensors.values()]).tobytes()
+
+
 class TestAdam:
     def config(self, **kw):
         return TrainConfig(**kw)
@@ -102,32 +128,49 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         params = self.params()
-        grads = {n: np.zeros_like(t) for n, t in params.tensors.items()}
+        grads = ModelParameters(params.config)
         updated, state = adam_step(params, grads, AdamState(), self.config())
-        for name in params.names():
-            assert np.array_equal(updated[name], params[name])
+        assert np.array_equal(updated.flat, params.flat)
         assert state.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
         params = self.params()
-        grads = {n: np.full_like(t, 0.5) for n, t in params.tensors.items()}
+        grads = ModelParameters(params.config, np.full(params.flat.size, 0.5))
         lr = 1e-3
         updated, _ = adam_step(params, grads, AdamState(),
                                self.config(learning_rate=lr, grad_clip_norm=1e9))
-        for name in params.names():
-            step = updated[name] - params[name]
-            assert np.abs(np.abs(step) - lr).max() < 1e-6 * lr + 1e-10
-            assert np.all(np.sign(step) == -1.0)
+        step = updated.flat - params.flat
+        assert np.abs(np.abs(step) - lr).max() < 1e-6 * lr + 1e-10
+        assert np.all(np.sign(step) == -1.0)
+
+    @pytest.mark.parametrize("grad_clip_norm", [0.0, 0.5])
+    def test_matches_per_tensor_reference_bit_for_bit(self, grad_clip_norm):
+        params = self.params()
+        config = self.config(learning_rate=0.01, grad_clip_norm=grad_clip_norm)
+        rng = np.random.default_rng(4)
+        grads = [ModelParameters(params.config, rng.normal(size=params.flat.size))
+                 for _ in range(4)]
+        assert all(np.sqrt(np.sum(g.flat * g.flat)) > 0.5 for g in grads)  # 0.5 clips
+        current, state = params, AdamState()
+        for g in grads:
+            current, state = adam_step(current, g, state, config)
+        tensors, m, v = reference_adam(params.tensors, [g.tensors for g in grads], config)
+        assert current.flat.tobytes() == concatenated(tensors)
+        assert state.m.tobytes() == concatenated(m)
+        assert state.v.tobytes() == concatenated(v)
+        assert state.step == 4
 
     def test_clipping_scales_by_half(self):
-        grads = {"w": np.array([6.0, 8.0])}  # norm 10
+        grads = ModelParameters(self.params().config)
+        grads.flat[:2] = [6.0, 8.0]  # norm 10
         clipped, norm = clip_global_norm(grads, 5.0)
         assert norm == pytest.approx(10.0)
-        assert np.allclose(clipped["w"], [3.0, 4.0])
+        assert np.allclose(clipped[:2], [3.0, 4.0]) and not clipped[2:].any()
 
     def test_non_finite_gradient_names_tensor(self):
-        grads = {"layer0.W": np.array([np.nan])}
-        with pytest.raises(TrainingError, match="layer0.W"):
+        grads = ModelParameters(self.params().config)
+        grads["layer0.R"][1, 0, 0] = np.nan
+        with pytest.raises(TrainingError, match="'layer0.R'"):
             clip_global_norm(grads, 5.0)
 
     def test_zero_learning_rate_is_identity_over_steps(self):
@@ -137,10 +180,9 @@ class TestAdam:
         rng = np.random.default_rng(3)
         current = params
         for _ in range(4):
-            grads = {n: rng.normal(size=t.shape) for n, t in params.tensors.items()}
+            grads = ModelParameters(params.config, rng.normal(size=params.flat.size))
             current, state = adam_step(current, grads, state, config)
-        for name in params.names():
-            assert np.array_equal(current[name], params[name])
+        assert np.array_equal(current.flat, params.flat)
 
 
 class TestTrainConfig:
@@ -254,8 +296,7 @@ class TestTrainLoop:
         loaded, _ = load_checkpoint(tmp_path / "lr0" / "checkpoint.bin")
         init_seed = int(rng_for(9, "init").integers(2 ** 31))
         initial = init_parameters(model_config, init_seed)
-        for name in initial.names():
-            assert np.array_equal(loaded[name], initial[name])
+        assert np.array_equal(loaded.flat, initial.flat)
 
     @pytest.mark.parametrize("nan_from_call,kept", [
         (1, "no checkpoint was written"),

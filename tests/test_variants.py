@@ -164,8 +164,9 @@ class TestPauseBoundaries:
         b'{"id": "u1", "words": [{"w": "a", "start_s": "x", "end_s": 1.0}]}',
         b"\xff\xfe",
         b'{"id": "u1", "words": [{"w": "a", "start_s": NaN, "end_s": 1.0}]}',
+        b'{"id": "u1", "words": [{"w": "a", "start_s": 0.0, "end_s": 1' + b"0" * 400 + b"}]}",
     ], ids=["not-an-object", "word-without-w", "words-not-a-list", "time-not-a-number",
-            "not-utf8", "time-nan"])
+            "not-utf8", "time-nan", "time-too-large"])
     def test_malformed_alignment_line_names_line(self, tmp_path, line):
         path = tmp_path / "words.jsonl"
         path.write_bytes(b'{"id": "u0", "words": []}\n' + line + b"\n")

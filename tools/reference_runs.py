@@ -12,8 +12,11 @@ OUT_DIR/evaluations and OUT_DIR/transcripts.
 
 Prints one line per run: its name, the sha256 of its checkpoint.bin, the
 test LER, best_dev_ler and best_epoch, and writes the same lines to
-OUT_DIR/summary.tsv. Run it on two trees and compare the two summaries
-(`diff`), then the files (`diff -r`), to see whether a change moved any bit.
+OUT_DIR/summary.tsv. It then compares that summary with the expected one,
+tools/reference_summary.tsv, and exits 1 naming each run whose line differs.
+Run it on two trees and compare the files (`diff -r`) to see whether a
+change moved any bit; a change that moves rounding on purpose updates
+tools/reference_summary.tsv.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from tinyasr.cli import main  # noqa: E402
 from tinyasr.synthetic import generate_tone_corpus  # noqa: E402
 
+EXPECTED = Path(__file__).resolve().parent / "reference_summary.tsv"
 VARIANTS = ("orig-no-spaces", "ipa-pause-boundaries")
 SIZES = (10, 20, 40)
 WAVS = [f"tone{i:04d}.wav" for i in range(6)]
@@ -106,6 +110,15 @@ def reference_runs(out_dir: Path) -> None:
                 summary.write(line + "\n")
 
 
+def differing_runs(summary: Path) -> list:
+    """Names of the runs whose summary line is not the expected one."""
+    def by_run(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return {line.split("\t")[0]: line for line in lines}
+    expected, got = by_run(EXPECTED), by_run(summary)
+    return [name for name in {**expected, **got} if expected.get(name) != got.get(name)]
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
@@ -113,3 +126,6 @@ if __name__ == "__main__":
     if target.exists():
         raise SystemExit(f"{target} exists; give a new directory")
     reference_runs(target)
+    differ = differing_runs(target / "summary.tsv")
+    if differ:
+        raise SystemExit(f"runs that differ from {EXPECTED}: {', '.join(differ)}")
