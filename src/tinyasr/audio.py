@@ -35,7 +35,7 @@ def wav_info(path):
     try:
         with wave.open(str(path), "rb") as wav:
             params = wav.getparams()
-    except (wave.Error, EOFError, OSError) as exc:
+    except (wave.Error, EOFError, OSError, ValueError) as exc:  # ValueError: NUL in path
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
     _check_format(params, path)
     return params.framerate, params.nframes
@@ -47,7 +47,7 @@ def read_wav(path) -> AudioBuffer:
             params = wav.getparams()
             _check_format(params, path)
             raw = wav.readframes(params.nframes)
-    except (wave.Error, EOFError, OSError) as exc:
+    except (wave.Error, EOFError, OSError, ValueError) as exc:  # ValueError: NUL in path
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
     return AudioBuffer(samples=samples, sample_rate=params.framerate)

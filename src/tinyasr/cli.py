@@ -62,7 +62,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    beam_width = args.beam if args.decoder == "beam" else None
+    # --beam alone selects beam search; --decoder beam alone uses width 8
+    beam_width = None if args.decoder == "greedy" else args.beam
+    if args.decoder == "beam" and beam_width is None:
+        beam_width = 8
     row, report = evaluate_run(args.run, split=args.split, beam_width=beam_width)
     print(f"split: {args.split}  micro LER: {report.ler:.6f}  "
           f"macro LER: {report.ler_macro:.6f}")
@@ -133,8 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="re-evaluate a finished run")
     p.add_argument("--run", required=True)
     p.add_argument("--split", default="test", choices=("train", "dev", "test"))
-    p.add_argument("--decoder", default=None, choices=("greedy", "beam"))
-    p.add_argument("--beam", type=_beam_width, default=8)
+    p.add_argument("--decoder", default=None, choices=("greedy", "beam"),
+                   help="greedy (the default) or beam; --decoder greedy ignores --beam")
+    p.add_argument("--beam", type=_beam_width, default=None,
+                   help="use prefix beam search with this width (8 under --decoder beam)")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("transcribe", help="decode WAV files with a trained run")

@@ -32,9 +32,10 @@ _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
 
 
 def check_section(section: dict, types: dict, where: str) -> dict:
-    """Unknown keys, ill-typed values and floats that are not finite are
-    errors. A JSON integer is a valid float unless it is too large for one;
-    a boolean is no number."""
+    """Unknown keys, ill-typed values and numbers that are not finite
+    floats are errors. A JSON integer is a valid float unless it is too
+    large for one, which no integer key may be either; a boolean is no
+    number."""
     for key, value in section.items():
         if key not in types:
             raise ConfigError(f"unknown config key '{key}' in {where}")
@@ -42,7 +43,7 @@ def check_section(section: dict, types: dict, where: str) -> dict:
         kinds += (int,) if float in kinds else ()
         if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
             raise ConfigError(f"ill-typed config key '{key}' in {where}: {value!r}")
-        if float in kinds and value is not None and not is_finite_number(value):
+        if type(value) in (int, float) and not is_finite_number(value):
             raise ConfigError(f"config key '{key}' in {where} must be a finite number")
     return section
 

@@ -1,8 +1,8 @@
 """Log-mel filterbank feature extraction.
 
-Pipeline: pre-emphasis, framing, Hamming window, power spectrum, mel
-filterbank energies plus frame energy, log compression, delta and
-delta-delta appendage, per-utterance mean/variance normalization.
+One fixed pipeline: pre-emphasis, framing, Hamming window, power spectrum,
+log mel filterbank energies plus log frame energy, delta and delta-delta
+appendage, per-utterance mean/variance normalization.
 """
 
 import math
@@ -24,17 +24,16 @@ class FeatureConfig:
     fmin: float = 0.0
     fmax: float | None = None  # None means Nyquist
     log_floor: float = 1e-10
-    append_energy: bool = True
-    deltas: bool = True
-    cmvn: bool = True
 
     def __post_init__(self):
         if self.sample_rate < 1 or self.n_mels < 1:
             raise ConfigError("sample_rate and n_mels must be at least 1")
         for key in ("frame_length_s", "frame_shift_s"):
             seconds = getattr(self, key)
-            if not math.isfinite(seconds) or round(seconds * self.sample_rate) < 1:
-                raise ConfigError(f"{key} {seconds} is shorter than one sample")
+            samples = seconds * self.sample_rate
+            if not (math.isfinite(samples) and round(samples) >= 1):
+                raise ConfigError(f"{key} {seconds} must span a finite number of "
+                                  f"samples, at least one")
         if not self.log_floor > 0:
             raise ConfigError("log_floor must be positive")
         if not 0 <= self.preemphasis < 1:
@@ -61,8 +60,8 @@ class FeatureConfig:
 
     @property
     def dims(self) -> int:
-        base = self.n_mels + (1 if self.append_energy else 0)
-        return base * 3 if self.deltas else base
+        """n_mels energies plus frame energy, with deltas and delta-deltas."""
+        return 3 * (self.n_mels + 1)
 
 
 @dataclass
@@ -70,25 +69,13 @@ class FeatureMatrix:
     """T x D feature frames for one utterance."""
 
     frames: np.ndarray
-    frame_shift_s: float
-    frame_length_s: float
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.frames.shape[1]
 
 
-def preemphasize(audio: AudioBuffer, alpha: float) -> AudioBuffer:
+def preemphasize(x: np.ndarray, alpha: float) -> np.ndarray:
     """y[0] = x[0]; y[n] = x[n] - alpha * x[n-1]."""
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"pre-emphasis coefficient {alpha} outside [0, 1)")
-    x = audio.samples
-    y = np.concatenate(([x[0]], x[1:] - alpha * x[:-1])) if len(x) else x.copy()
-    return AudioBuffer(samples=y, sample_rate=audio.sample_rate)
+    return np.concatenate(([x[0]], x[1:] - alpha * x[:-1])) if len(x) else x.copy()
 
 
 def frame_count(n_samples: int, frame_length: int, frame_shift: int) -> int:
@@ -165,18 +152,16 @@ def append_deltas(frames: np.ndarray) -> np.ndarray:
     return np.concatenate([frames, d, regress(d)], axis=1)
 
 
-def normalize_cmvn(features: FeatureMatrix) -> FeatureMatrix:
+def normalize_cmvn(x: np.ndarray) -> np.ndarray:
     """Per-utterance, per-dimension zero mean and unit variance.
 
     The variance step is skipped for constant dimensions.
     """
-    x = features.frames
     if x.shape[0] < 2:
         raise DataError(f"CMVN needs at least 2 frames, got {x.shape[0]}")
     centered = x - x.mean(axis=0)
     std = centered.std(axis=0)
-    scale = np.where(std > 1e-20, std, 1.0)
-    return FeatureMatrix(centered / scale, features.frame_shift_s, features.frame_length_s)
+    return centered / np.where(std > 1e-20, std, 1.0)
 
 
 def extract_features(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
@@ -186,19 +171,12 @@ def extract_features(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()
             f"audio sample rate {audio.sample_rate} does not match configured "
             f"{config.sample_rate} (resampling is unsupported)"
         )
-    emphasized = preemphasize(audio, config.preemphasis)
-    frames = frame_signal(emphasized.samples, config.frame_length, config.frame_shift)
-    windowed = frames * np.hamming(config.frame_length)
-    spectra = power_spectrum(windowed, config.nfft)
+    emphasized = preemphasize(audio.samples, config.preemphasis)
+    frames = frame_signal(emphasized, config.frame_length, config.frame_shift)
+    spectra = power_spectrum(frames * np.hamming(config.frame_length), config.nfft)
     bank = build_mel_filterbank(config.n_mels, config.nfft, config.sample_rate,
                                 config.fmin, config.fmax)
-    feats = mel_filterbank(spectra, bank, log_floor=config.log_floor)
-    if config.append_energy:
-        energy = np.log(np.maximum(spectra.sum(axis=1), config.log_floor))
-        feats = np.concatenate([feats, energy[:, None]], axis=1)
-    if config.deltas:
-        feats = append_deltas(feats)
-    matrix = FeatureMatrix(feats, config.frame_shift_s, config.frame_length_s)
-    if config.cmvn:
-        matrix = normalize_cmvn(matrix)
-    return matrix
+    mels = mel_filterbank(spectra, bank, log_floor=config.log_floor)
+    energy = np.log(np.maximum(spectra.sum(axis=1), config.log_floor))
+    feats = append_deltas(np.concatenate([mels, energy[:, None]], axis=1))
+    return FeatureMatrix(normalize_cmvn(feats))

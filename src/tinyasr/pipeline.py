@@ -178,6 +178,11 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
                     f"subset ids not in the train split: {sorted(missing)[:5]}"
                 )
             train_records = [r for r in train_records if r.id in chosen]
+        parts = {"train": train_records, "dev": corpus.dev, "test": corpus.test}
+        empty = [name for name, part in parts.items() if not part]
+        if empty:
+            raise DataError(f"empty split: {', '.join(empty)} (of {len(corpus.records)} "
+                            f"utterances; check the split ratios)")
 
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(corpus.records, run_dir / "manifest.jsonl")
@@ -197,11 +202,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "feature_config": asdict(config.features),
         "model": asdict(model_config),
         "train": asdict(config.train),
-        "splits": {
-            "train": [r.id for r in train_records],
-            "dev": [r.id for r in corpus.dev],
-            "test": [r.id for r in corpus.test],
-        },
+        "splits": {name: [r.id for r in part] for name, part in parts.items()},
         "subset": sorted(subset_ids) if subset_ids is not None else None,
     }
     _write_run_info(run_dir, run_info)
@@ -268,7 +269,11 @@ def _read_run_info(run_dir) -> dict:
 def _load_run_model(run_dir, run_info):
     """A finished run's parameters, label vocabulary and feature config."""
     params, vocab = load_checkpoint(Path(run_dir) / "checkpoint.bin")
-    return params, vocab, FeatureConfig(**run_info["feature_config"])
+    feature_config = FeatureConfig(**run_info["feature_config"])
+    if feature_config.dims != params.config.input_dim:
+        raise DataError(f"{RUN_FILE} feature_config gives {feature_config.dims} "
+                        f"dimensions; the model takes {params.config.input_dim}")
+    return params, vocab, feature_config
 
 
 def _load_split(run_dir, run_info, split, vocab, feature_config):

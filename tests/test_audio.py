@@ -27,6 +27,12 @@ def test_directory_is_data_error(tmp_path, reader):
         reader(tmp_path)
 
 
+@pytest.mark.parametrize("reader", [read_wav, wav_info])
+def test_path_with_nul_byte_is_data_error(tmp_path, reader):
+    with pytest.raises(DataError, match="not a readable WAV file"):
+        reader(tmp_path / "a\x00b.wav")
+
+
 def test_wav_info_matches_header(tmp_path):
     buf = make_buffer(seconds=0.5)
     path = tmp_path / "x.wav"

@@ -1,10 +1,16 @@
+import io
 import json
 import shutil
 import struct
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyasr import pipeline
 from tinyasr.audio import AudioBuffer, write_wav
@@ -44,6 +50,14 @@ def _set_run_key(key, value):
     def damage(run):
         info = json.loads((run / "run.json").read_text())
         info[key] = value
+        (run / "run.json").write_text(json.dumps(info))
+    return damage
+
+
+def _set_feature_key(key, value):
+    def damage(run):
+        info = json.loads((run / "run.json").read_text())
+        info["feature_config"][key] = value
         (run / "run.json").write_text(json.dumps(info))
     return damage
 
@@ -198,9 +212,12 @@ class TestConfigParsing:
         ("train", "split_train", float("nan")),
         ("train", "learning_rate", float("nan")),
         (None, "pause_gap_threshold", float("nan")),
+        ("features", "deltas", False),
+        ("features", "frame_length_s", 1e308),
         *(pytest.param(section, key, 10 ** 400, id=f"{section}-{key}-401-digits")
           for section, key in [(None, "pause_gap_threshold"), ("features", "frame_length_s"),
-                               ("train", "learning_rate"), ("train", "grad_clip_norm")]),
+                               ("train", "learning_rate"), ("train", "grad_clip_norm"),
+                               ("features", "sample_rate")]),
     ])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
         raw = self.base()
@@ -270,6 +287,24 @@ class TestExitCodes:
         assert main(["train", "--config", str(path), "--fast"]) == 2
         err = capsys.readouterr().err
         assert "missing.tsv" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("ratios,empty", [
+        ((0.9, 0.1, 0.0), "test"),
+        ((0.9, 0.0, 0.1), "dev"),
+        ((0.0, 0.5, 0.5), "train"),
+    ])
+    def test_empty_split_exits_2_before_any_run(self, tone_corpus, tmp_path, capsys,
+                                                ratios, empty):
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
+                  "train": dict(zip(("split_train", "split_dev", "split_test"), ratios))}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'data': empty split: " + empty)
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
     def test_prepare_out_is_a_file_exits_1(self, golden_corpus, tmp_path, capsys):
@@ -394,6 +429,38 @@ class TestTrainedRun:
         report = json.loads(
             (trained_run["run"] / "report-dev.json").read_text())
         assert report["decoder"] == "beam"
+
+    @pytest.mark.parametrize("flags,decoder,width", [
+        (["--beam", "4"], "beam", 4),
+        (["--decoder", "greedy", "--beam", "8"], "greedy", None),
+        (["--decoder", "beam"], "beam", 8),
+    ], ids=["beam-alone", "greedy-ignores-beam", "decoder-beam-alone"])
+    def test_evaluate_decoder_flags(self, trained_run, tmp_path, monkeypatch, capsys,
+                                    flags, decoder, width):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        widths = set()
+        original = pipeline.decode
+
+        def recording(params, features, beam_width=None):
+            widths.add(beam_width)
+            return original(params, features, beam_width)
+
+        monkeypatch.setattr(pipeline, "decode", recording)
+        assert main(["evaluate", "--run", str(run), "--split", "dev", *flags]) == 0
+        capsys.readouterr()
+        assert f"\ndecoder: {decoder}\n" in (run / "report-dev.txt").read_text()
+        assert widths == {width}
+
+    def test_run_from_before_the_fixed_front_end_exits_2(self, trained_run, tmp_path,
+                                                         capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        _set_feature_key("append_energy", True)(run)
+        assert main(["evaluate", "--run", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key 'append_energy' in feature_config" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_evaluate_non_run_directory_exits_2(self, tmp_path, capsys):
         assert main(["evaluate", "--run", str(tmp_path)]) == 2
@@ -578,6 +645,11 @@ class TestTrainedRun:
         ("evaluate", _set_run_key("pause_gap_threshold", 10 ** 400)),
         ("evaluate", _make_dir("run.json")),
         ("error-report", _make_dir("report-test.json")),
+        ("evaluate", _set_feature_key("append_energy", True)),
+        ("transcribe", _set_feature_key("n_mels", 20)),
+        ("evaluate", _set_feature_key("sample_rate", 10 ** 400)),
+        ("transcribe", _set_feature_key("frame_length_s", 1e308)),
+        ("evaluate", _set_run_key("audio_root", "a\x00b")),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
@@ -592,7 +664,9 @@ class TestTrainedRun:
             "evaluate-pause-run-without-words", "evaluate-container-version-1",
             "evaluate-vocabulary-without-blank", "evaluate-vocabulary-with-number",
             "evaluate-huge-pause-gap", "evaluate-run-json-is-a-directory",
-            "error-report-report-is-a-directory"])
+            "error-report-report-is-a-directory", "evaluate-deleted-feature-switch",
+            "transcribe-features-not-model-input", "evaluate-huge-sample-rate",
+            "transcribe-frame-length-beyond-float", "evaluate-nul-in-audio-root"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"
@@ -607,6 +681,43 @@ class TestTrainedRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestAnyRunRecordValue:
+    @settings(max_examples=50, deadline=None)
+    @given(drawn=st.data(), value=JSON_VALUES)
+    def test_evaluate_and_transcribe_keep_the_exit_codes(self, trained_run, drawn, value):
+        # one top-level run.json value, or one feature_config entry, replaced
+        # by any JSON value: each command exits 0, 1 or 2 without a traceback
+        info = json.loads((trained_run["run"] / "run.json").read_text())
+        where = drawn.draw(st.sampled_from(
+            [(key,) for key in sorted(info)]
+            + [("feature_config", key) for key in sorted(info["feature_config"])]),
+            label="key")
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp) / "run"
+            shutil.copytree(trained_run["run"], run)
+            if len(where) == 1:
+                _set_run_key(where[0], value)(run)
+            else:
+                _set_feature_key(where[1], value)(run)
+            wav = Path(tmp) / "hush.wav"
+            write_wav(wav, AudioBuffer(np.zeros(8000), 16000))
+            for argv in (["evaluate", "--run", str(run), "--split", "dev"],
+                         ["transcribe", "--run", str(run), str(wav)]):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv[0], err.getvalue())
+                assert "Traceback" not in err.getvalue()
 
 
 class TestSubSeeds:

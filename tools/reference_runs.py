@@ -8,15 +8,17 @@ variants orig-no-spaces and ipa-pause-boundaries (pause gap 0.05 s), runs
 max_epochs = patience = 3, at one BLAS thread. Each of the 8 runs is then
 evaluated on dev and test, greedy and with beam 8, and transcribes
 tone0000-tone0005 both ways; those outputs are kept under
-OUT_DIR/evaluations and OUT_DIR/transcripts.
+OUT_DIR/evaluations and OUT_DIR/transcripts. Each run's run.json (without
+audio_root, the absolute corpus path) and epochs.jsonl (without the
+wall-clock seconds) are kept under OUT_DIR/records.
 
 Prints one line per run: its name, the sha256 of its checkpoint.bin, the
 test LER, best_dev_ler and best_epoch, and writes the same lines to
 OUT_DIR/summary.tsv. It then compares that summary with the expected one,
 tools/reference_summary.tsv, and exits 1 naming each run whose line differs.
-Run it on two trees and compare the files (`diff -r`) to see whether a
-change moved any bit; a change that moves rounding on purpose updates
-tools/reference_summary.tsv.
+Run it on two trees and compare the outputs with
+`diff -r --exclude=runs OLD NEW` to see whether a change moved any bit; a
+change that moves rounding on purpose updates tools/reference_summary.tsv.
 """
 
 import hashlib
@@ -87,8 +89,20 @@ def check_run(out_dir: Path, run: Path) -> str:
         (out_dir / "transcripts" / f"{run.name}-{decoder}.tsv").write_text(
             text, encoding="utf-8")
 
+    records = out_dir / "records" / run.name
+    records.mkdir(parents=True)
+    info = json.loads((run / "run.json").read_text(encoding="utf-8"))
+    del info["audio_root"]
+    (records / "run.json").write_text(json.dumps(info, indent=2, sort_keys=True) + "\n",
+                                      encoding="utf-8")
+    epochs = [json.loads(line) for line in
+              (run / "epochs.jsonl").read_text(encoding="utf-8").splitlines()]
+    (records / "epochs.jsonl").write_text(
+        "".join(json.dumps({k: v for k, v in e.items() if k != "seconds"}) + "\n"
+                for e in epochs), encoding="utf-8")
+
     digest = hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest()
-    results = json.loads((run / "run.json").read_text(encoding="utf-8"))["results"]
+    results = info["results"]
     return (f"{run.name}\t{digest}\tler={results['ler']!r}\t"
             f"best_dev_ler={results['best_dev_ler']!r}\tbest_epoch={results['best_epoch']}")
 
