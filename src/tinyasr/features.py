@@ -30,10 +30,13 @@ class FeatureConfig:
             raise ConfigError("sample_rate and n_mels must be at least 1")
         for key in ("frame_length_s", "frame_shift_s"):
             seconds = getattr(self, key)
-            samples = seconds * self.sample_rate
+            samples = float(seconds) * self.sample_rate  # an int product can overflow
             if not (math.isfinite(samples) and round(samples) >= 1):
                 raise ConfigError(f"{key} {seconds} must span a finite number of "
                                   f"samples, at least one")
+        if self.n_mels > self.nfft // 2 + 1:
+            raise ConfigError(f"n_mels {self.n_mels} exceeds the {self.nfft // 2 + 1} "
+                              f"spectrum bins of a {self.frame_length}-sample frame")
         if not self.log_floor > 0:
             raise ConfigError("log_floor must be positive")
         if not 0 <= self.preemphasis < 1:

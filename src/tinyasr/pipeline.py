@@ -305,9 +305,10 @@ def _report_split(run_dir, run_info, split, params, vocab, items, records,
     """Decode a split's items (greedy, or prefix beam search when
     beam_width is set), write report-<split>.{json,txt}, and return the
     results row and the report."""
+    decoded = decode(params, [item.features for item in items], beam_width)
     entries = []
-    for item in items:
-        labels = decode(params, item.features, beam_width).labels
+    for item, result in zip(items, decoded):
+        labels = result.labels
         entries.append((item.id, tuple(vocab.labels[i] for i in item.target),
                         tuple(vocab.labels[i] for i in labels), vocab.decode(labels)))
     report = build_report(entries, "greedy" if beam_width is None else "beam")
@@ -378,28 +379,35 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
 
 
 def transcribe_files(run_dir, wav_paths, beam_width=None):
-    """Decode new WAV files with a finished run's model.
+    """Decode new WAV files with a finished run's model, all in one decode
+    call.
 
-    Returns [(path, text_or_None, error_or_None)]; failures do not stop
-    the remaining files. Output text is written next to each input.
+    Returns [(path, text_or_None, error_or_None)] in input order; a file
+    that fails does not stop the others. Output text is written
+    next to each input.
     """
     run_dir = Path(run_dir)
     params, vocab, feature_config = _load_run_model(run_dir, _read_run_info(run_dir))
 
-    outputs = []
-    for wav_path in wav_paths:
-        wav_path = Path(wav_path)
+    wav_paths = [Path(wav_path) for wav_path in wav_paths]
+    frames, errors = {}, {}
+    for index, wav_path in enumerate(wav_paths):
         try:
             if not wav_path.exists():
                 raise DataError(f"file not found: {wav_path}")
-            audio = read_wav(wav_path)
-            matrix = extract_features(audio, feature_config)
-            decoded = decode(params, matrix.frames, beam_width)
-            text = vocab.decode(decoded.labels)
-            wav_path.with_suffix(".txt").write_text(text + "\n", encoding="utf-8")
-            outputs.append((str(wav_path), text, None))
+            frames[index] = extract_features(read_wav(wav_path), feature_config).frames
         except DataError as exc:
-            outputs.append((str(wav_path), None, str(exc)))
+            errors[index] = str(exc)
+    decoded = dict(zip(frames, decode(params, list(frames.values()), beam_width)))
+
+    outputs = []
+    for index, wav_path in enumerate(wav_paths):
+        if index in errors:
+            outputs.append((str(wav_path), None, errors[index]))
+            continue
+        text = vocab.decode(decoded[index].labels)
+        wav_path.with_suffix(".txt").write_text(text + "\n", encoding="utf-8")
+        outputs.append((str(wav_path), text, None))
     return outputs
 
 

@@ -167,7 +167,8 @@ class TrainResult:
 
 
 def dev_label_error_rate(params, items) -> float:
-    pairs = [(item.target, decode(params, item.features).labels) for item in items]
+    decoded = decode(params, [item.features for item in items])
+    pairs = [(item.target, result.labels) for item, result in zip(items, decoded)]
     return corpus_ler(pairs, [item.id for item in items])
 
 

@@ -214,6 +214,9 @@ class TestConfigParsing:
         (None, "pause_gap_threshold", float("nan")),
         ("features", "deltas", False),
         ("features", "frame_length_s", 1e308),
+        ("features", "n_mels", 258),
+        pytest.param("features", "n_mels", 10 ** 12, id="features-n_mels-10**12"),
+        pytest.param("features", "frame_length_s", 10 ** 308, id="features-frame_length_s-10**308"),
         *(pytest.param(section, key, 10 ** 400, id=f"{section}-{key}-401-digits")
           for section, key in [(None, "pause_gap_threshold"), ("features", "frame_length_s"),
                                ("train", "learning_rate"), ("train", "grad_clip_norm"),
@@ -442,9 +445,9 @@ class TestTrainedRun:
         widths = set()
         original = pipeline.decode
 
-        def recording(params, features, beam_width=None):
+        def recording(params, feature_list, beam_width=None):
             widths.add(beam_width)
-            return original(params, features, beam_width)
+            return original(params, feature_list, beam_width)
 
         monkeypatch.setattr(pipeline, "decode", recording)
         assert main(["evaluate", "--run", str(run), "--split", "dev", *flags]) == 0
@@ -556,6 +559,59 @@ class TestTrainedRun:
         assert rc == 2
         assert "sample rate" in captured.err
         assert str(good) in captured.out
+
+    @staticmethod
+    def _copy_wavs(trained_run, tmp_path, count):
+        run = trained_run["run"]
+        info = json.loads((run / "run.json").read_text())
+        manifest = {json.loads(l)["id"]: json.loads(l)
+                    for l in (run / "manifest.jsonl").read_text().splitlines()}
+        wavs = []
+        for utt_id in info["splits"]["dev"][:count]:
+            wav = tmp_path / f"{utt_id}.wav"
+            shutil.copyfile(trained_run["corpus"]["prepared"] / manifest[utt_id]["audio"], wav)
+            wavs.append(wav)
+        return wavs
+
+    def test_transcribe_decodes_every_file_in_one_call(self, trained_run, tmp_path,
+                                                       monkeypatch, capsys):
+        wavs = self._copy_wavs(trained_run, tmp_path, 5)
+        write_wav(tmp_path / "silence.wav", AudioBuffer(np.zeros(16000), 16000))
+        wavs.insert(2, tmp_path / "silence.wav")
+        run = str(trained_run["run"])
+        alone = []
+        for wav in wavs:
+            assert main(["transcribe", "--run", run, str(wav)]) == 0
+            alone.append(capsys.readouterr().out)
+        calls = []
+        original = pipeline.decode
+
+        def recording(params, feature_list, beam_width=None):
+            calls.append(len(feature_list))
+            return original(params, feature_list, beam_width)
+
+        monkeypatch.setattr(pipeline, "decode", recording)
+        assert main(["transcribe", "--run", run, *map(str, wavs)]) == 0
+        assert calls == [len(wavs)]
+        assert capsys.readouterr().out == "".join(alone)
+
+    def test_transcribe_bad_files_in_the_middle_keep_their_place(self, trained_run,
+                                                                 tmp_path, capsys):
+        first, last = self._copy_wavs(trained_run, tmp_path, 2)
+        slow = tmp_path / "slow.wav"
+        write_wav(slow, AudioBuffer(np.zeros(8000), 8000))
+        missing = tmp_path / "ghost.wav"
+        rc = main(["transcribe", "--run", str(trained_run["run"]),
+                   str(first), str(missing), str(slow), str(last)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert [line.split("\t")[0] for line in captured.out.splitlines()] == [
+            str(first), str(last)]
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith("error: ") and "ghost.wav" in errors[0]
+        assert "slow.wav" in errors[1] and "sample rate" in errors[1]
+        assert last.with_suffix(".txt").exists() and not slow.with_suffix(".txt").exists()
 
     def test_degenerate_sweep_equals_full_run(self, trained_run, capsys):
         info = json.loads((trained_run["run"] / "run.json").read_text())
@@ -689,19 +745,29 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=4,
 )
+# the values a uniform draw seldom reaches: a NUL byte in a string, an
+# integer beyond any float, and containers nested in containers
+NUL_TEXT = st.builds("{}\0{}".format, st.text(max_size=3), st.text(max_size=3))
+HUGE_INTEGERS = st.integers(min_value=10 ** 308 + 1) | st.integers(max_value=-10 ** 308 - 1)
+NESTED = st.recursive(NUL_TEXT | HUGE_INTEGERS | JSON_VALUES,
+                      lambda inner: st.lists(inner, min_size=1, max_size=2)
+                      | st.dictionaries(st.text(max_size=3), inner, min_size=1, max_size=2),
+                      max_leaves=4).filter(lambda v: isinstance(v, (list, dict)))
+TARGETED_VALUES = NUL_TEXT | HUGE_INTEGERS | NESTED
+
+
+def _run_record_keys(trained_run):
+    """Every top-level run.json key, and every feature_config key."""
+    info = json.loads((trained_run["run"] / "run.json").read_text())
+    return ([(key,) for key in sorted(info)]
+            + [("feature_config", key) for key in sorted(info["feature_config"])])
 
 
 class TestAnyRunRecordValue:
-    @settings(max_examples=50, deadline=None)
-    @given(drawn=st.data(), value=JSON_VALUES)
-    def test_evaluate_and_transcribe_keep_the_exit_codes(self, trained_run, drawn, value):
+    @staticmethod
+    def check_exit_codes(trained_run, where, value):
         # one top-level run.json value, or one feature_config entry, replaced
-        # by any JSON value: each command exits 0, 1 or 2 without a traceback
-        info = json.loads((trained_run["run"] / "run.json").read_text())
-        where = drawn.draw(st.sampled_from(
-            [(key,) for key in sorted(info)]
-            + [("feature_config", key) for key in sorted(info["feature_config"])]),
-            label="key")
+        # by the value: each command exits 0, 1 or 2 without a traceback
         with tempfile.TemporaryDirectory() as tmp:
             run = Path(tmp) / "run"
             shutil.copytree(trained_run["run"], run)
@@ -716,8 +782,19 @@ class TestAnyRunRecordValue:
                 err = io.StringIO()
                 with redirect_stdout(io.StringIO()), redirect_stderr(err):
                     code = main(argv)
-                assert code in (0, 1, 2), (argv[0], err.getvalue())
+                assert code in (0, 1, 2), (argv[0], where, value, err.getvalue())
                 assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=50, deadline=None)
+    @given(drawn=st.data(), value=JSON_VALUES | TARGETED_VALUES)
+    def test_evaluate_and_transcribe_keep_the_exit_codes(self, trained_run, drawn, value):
+        where = drawn.draw(st.sampled_from(_run_record_keys(trained_run)), label="key")
+        self.check_exit_codes(trained_run, where, value)
+
+    def test_every_key_takes_nul_huge_and_nested_values(self, trained_run):
+        for where in _run_record_keys(trained_run):
+            for value in ("tone\0", 10 ** 309, [{"a\0": [10 ** 309]}], {"": [[]]}):
+                self.check_exit_codes(trained_run, where, value)
 
 
 class TestSubSeeds:

@@ -130,6 +130,14 @@ class TestMelScale:
         with pytest.raises(ConfigError, match="Nyquist"):
             build_mel_filterbank(4, 64, 16000, fmax=9000.0)
 
+    def test_n_mels_up_to_the_spectrum_bin_count_accepted(self):
+        config = FeatureConfig(n_mels=257)
+        assert config.nfft // 2 + 1 == 257
+        buf = AudioBuffer(np.random.default_rng(4).uniform(-0.3, 0.3, size=1600), 16000)
+        assert extract_features(buf, config).frames.shape[1] == 3 * 258
+        with pytest.raises(ConfigError, match="n_mels"):
+            FeatureConfig(n_mels=258)
+
 
 class TestFraming:
     def test_frame_count_formula_random_lengths(self):

@@ -1,17 +1,20 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinyasr import model, pipeline
 from tinyasr.errors import ConfigError, DataError
 from tinyasr.model import (
     ModelConfig,
     ModelParameters,
     _sigmoid,
     backward_batch,
+    decode,
     forward_batch,
     init_parameters,
     load_checkpoint,
@@ -186,6 +189,81 @@ class TestForward:
         for f, lb in zip(feats, batched):
             (single,), _ = forward_batch(params, [f])
             assert np.allclose(single, lb, atol=1e-12)
+
+
+class TestDecode:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Replaces forward_batch by a recorder of each batch. Its logits
+        are zero but for frame 0 of an utterance whose features start with
+        k > 0, which emits label k."""
+        seen = []
+
+        def recording(params, feature_list, keep_cache=True):
+            seen.append(feature_list)
+            logits = []
+            for feats in feature_list:
+                out = np.zeros((len(feats), params.config.output_dim))
+                out[0, int(feats[0, 0])] = 1.0
+                logits.append(out)
+            return logits, None
+
+        monkeypatch.setattr(model, "forward_batch", recording)
+        return seen
+
+    @staticmethod
+    def params(vocab_size=1):
+        return ModelParameters(ModelConfig(input_dim=1, vocab_size=vocab_size,
+                                           num_layers=1, hidden_units=1))
+
+    def test_sorted_chunks_of_16(self, batches):
+        lengths = np.random.default_rng(21).integers(1, 1001, size=40)
+        decode(self.params(), [np.zeros((t, 1)) for t in lengths])
+        assert [len(batch) for batch in batches] == [16, 16, 8]
+        assert [len(feats) for batch in batches for feats in batch] == sorted(lengths)
+
+    def test_padded_frames_bound_the_batch(self, batches):
+        decode(self.params(), [np.zeros((t, 1)) for t in (16001, 5, 1000, 16000, 1000)])
+        assert [[len(feats) for feats in batch] for batch in batches] == [
+            [5, 1000, 1000], [16000], [16001]]
+
+    def test_results_come_back_in_input_order(self, batches):
+        lengths = [7, 3, 7, 1, 20, 3] * 5
+        feature_list = [np.full((t, 1), float(i + 1)) for i, t in enumerate(lengths)]
+        decoded = decode(self.params(vocab_size=len(lengths)), feature_list)
+        assert [result.labels for result in decoded] == [[i + 1] for i in range(30)]
+        # sorted by length, equal lengths in input order
+        assert [len(batch) for batch in batches] == [16, 14]
+        assert [int(feats[0, 0]) - 1 for batch in batches for feats in batch] == sorted(
+            range(30), key=lengths.__getitem__)
+
+    @pytest.mark.parametrize("beam_width", [None, 4], ids=["greedy", "beam"])
+    def test_batched_labels_equal_one_at_a_time(self, trained_run, beam_width):
+        run = trained_run["run"]
+        info = pipeline._read_run_info(run)
+        params, vocab, feature_config = pipeline._load_run_model(run, info)
+        items, _ = pipeline._load_split(run, info, "train", vocab, feature_config)
+        feature_list = [item.features for item in items]
+        assert len(feature_list) > model.DECODE_BATCH
+        alone = [decode(params, [feats], beam_width)[0].labels for feats in feature_list]
+        assert [r.labels for r in decode(params, feature_list, beam_width)] == alone
+
+    def test_inference_keeps_no_cache(self):
+        config = ModelConfig(input_dim=123, vocab_size=20, num_layers=3, hidden_units=64)
+        params = init_parameters(config, 0)
+        feats = np.random.default_rng(22).normal(size=(2000, 123))
+        (logits,), cache = forward_batch(params, [feats])
+        cached = cache.top.nbytes + sum(a.nbytes for arrays in cache.layers for a in arrays)
+        del cache
+        (uncached,), none = forward_batch(params, [feats], keep_cache=False)
+        assert none is None and np.array_equal(uncached, logits)
+        tracemalloc.start()
+        try:
+            decode(params, [feats])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cached / 2
 
 
 class TestBackward:
