@@ -72,12 +72,13 @@ def slice_audio(buffer: AudioBuffer, start_s: float, end_s: float) -> AudioBuffe
     if start_s < 0 or end_s <= start_s:
         raise DataError(f"invalid audio span [{start_s}, {end_s}]")
     rate = buffer.sample_rate
-    # tolerate float noise around exact sample boundaries before rounding
-    first = math.floor(start_s * rate + 1e-9)
-    last = math.ceil(end_s * rate - 1e-9)
-    if last > len(buffer.samples):
+    # tolerate float noise around exact sample boundaries before rounding;
+    # check the end while it is a float, which a huge span overflows to inf
+    end = end_s * rate - 1e-9
+    if end > len(buffer.samples):
         raise DataError(
-            f"audio span [{start_s}, {end_s}] ends beyond buffer "
-            f"({len(buffer.samples) / rate:.3f} s)"
+            f"audio span [{start_s}, {end_s}] ends beyond buffer ({buffer.duration:.3f} s)"
         )
+    first = math.floor(start_s * rate + 1e-9)
+    last = math.ceil(end)
     return AudioBuffer(samples=buffer.samples[first:last].copy(), sample_rate=rate)

@@ -129,12 +129,18 @@ def report_to_json(report: EvaluationReport) -> str:
 
 
 def report_from_json(text: str | bytes) -> EvaluationReport:
-    """Inverse of report_to_json; a garbled or incomplete report is a DataError."""
+    """Inverse of report_to_json; a garbled or incomplete report, or a
+    confusion whose labels are not strings or null or whose count is not an
+    integer, is a DataError."""
     try:
         payload = json.loads(text)
-        confusions = Counter(
-            {(c["ref"], c["hyp"]): c["count"] for c in payload["confusions"]}
-        )
+        confusions = Counter()
+        for c in payload["confusions"]:
+            ref, hyp, count = c["ref"], c["hyp"], c["count"]
+            if not (isinstance(ref, str | None) and isinstance(hyp, str | None)
+                    and type(count) is int):
+                raise TypeError(f"ill-typed confusion {c!r}")
+            confusions[(ref, hyp)] = count
         return EvaluationReport(
             ler=payload["ler"],
             ler_macro=payload["ler_macro"],

@@ -13,17 +13,16 @@ import numpy as np
 from .audio import AudioBuffer
 from .errors import ConfigError, DataError
 
+PREEMPHASIS = 0.97
+LOG_FLOOR = 1e-10  # energies are floored here before the log
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
     sample_rate: int = 16000
     frame_length_s: float = 0.025
     frame_shift_s: float = 0.010
-    preemphasis: float = 0.97
     n_mels: int = 40
-    fmin: float = 0.0
-    fmax: float | None = None  # None means Nyquist
-    log_floor: float = 1e-10
 
     def __post_init__(self):
         if self.sample_rate < 1 or self.n_mels < 1:
@@ -37,14 +36,6 @@ class FeatureConfig:
         if self.n_mels > self.nfft // 2 + 1:
             raise ConfigError(f"n_mels {self.n_mels} exceeds the {self.nfft // 2 + 1} "
                               f"spectrum bins of a {self.frame_length}-sample frame")
-        if not self.log_floor > 0:
-            raise ConfigError("log_floor must be positive")
-        if not 0 <= self.preemphasis < 1:
-            raise ConfigError(f"preemphasis {self.preemphasis} outside [0, 1)")
-        nyquist = self.sample_rate / 2
-        if not 0 <= self.fmin < (nyquist if self.fmax is None else self.fmax) <= nyquist:
-            raise ConfigError(f"need 0 <= fmin < fmax <= {nyquist} Hz (Nyquist), got "
-                              f"fmin {self.fmin} and fmax {self.fmax}")
 
     @property
     def frame_length(self) -> int:
@@ -116,17 +107,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def build_mel_filterbank(n_mels: int, nfft: int, sample_rate: int,
-                         fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Triangular filters (n_mels x nfft/2+1), evenly spaced on the mel scale."""
-    nyquist = sample_rate / 2.0
-    if fmax is None:
-        fmax = nyquist
-    if fmax > nyquist:
-        raise ConfigError(f"filterbank fmax {fmax} Hz exceeds Nyquist {nyquist} Hz")
-    if not 0 <= fmin < fmax:
-        raise ConfigError(f"invalid filterbank band [{fmin}, {fmax}]")
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+def build_mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray:
+    """Triangular filters (n_mels x nfft/2+1), evenly spaced on the mel
+    scale from 0 Hz to Nyquist."""
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_freqs = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
     bank = np.zeros((n_mels, nfft // 2 + 1))
     for m in range(n_mels):
@@ -137,11 +121,10 @@ def build_mel_filterbank(n_mels: int, nfft: int, sample_rate: int,
     return bank
 
 
-def mel_filterbank(spectrum: np.ndarray, bank: np.ndarray,
-                   log_floor: float = 1e-10) -> np.ndarray:
+def mel_filterbank(spectrum: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """Log filterbank energies of one power spectrum, or of each row of a
     spectrum matrix, floored before the log."""
-    return np.log(np.maximum(spectrum @ bank.T, log_floor))
+    return np.log(np.maximum(spectrum @ bank.T, LOG_FLOOR))
 
 
 def append_deltas(frames: np.ndarray) -> np.ndarray:
@@ -174,12 +157,11 @@ def extract_features(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()
             f"audio sample rate {audio.sample_rate} does not match configured "
             f"{config.sample_rate} (resampling is unsupported)"
         )
-    emphasized = preemphasize(audio.samples, config.preemphasis)
+    emphasized = preemphasize(audio.samples, PREEMPHASIS)
     frames = frame_signal(emphasized, config.frame_length, config.frame_shift)
     spectra = power_spectrum(frames * np.hamming(config.frame_length), config.nfft)
-    bank = build_mel_filterbank(config.n_mels, config.nfft, config.sample_rate,
-                                config.fmin, config.fmax)
-    mels = mel_filterbank(spectra, bank, log_floor=config.log_floor)
-    energy = np.log(np.maximum(spectra.sum(axis=1), config.log_floor))
+    bank = build_mel_filterbank(config.n_mels, config.nfft, config.sample_rate)
+    mels = mel_filterbank(spectra, bank)
+    energy = np.log(np.maximum(spectra.sum(axis=1), LOG_FLOOR))
     feats = append_deltas(np.concatenate([mels, energy[:, None]], axis=1))
     return FeatureMatrix(normalize_cmvn(feats))

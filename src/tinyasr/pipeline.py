@@ -127,6 +127,12 @@ class _Corpus:
 def _load_corpus(config: ExperimentConfig) -> _Corpus:
     if config.corpus is None or not Path(config.corpus).exists():
         raise DataError(f"prepared corpus manifest not found: {config.corpus}")
+    # each named rule file is copied into the run, also where the variant
+    # does not read it
+    for key in ("g2p_rules", "alignments"):
+        path = getattr(config, key)
+        if path is not None and not Path(path).is_file():
+            raise DataError(f"{key} file not found: {path}")
     records = read_manifest(config.corpus)
     unit_map = corpus_units(records, config.variant, config.g2p_rules,
                             config.alignments, config.pause_gap_threshold)

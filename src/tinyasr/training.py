@@ -26,6 +26,11 @@ from .model import (
     save_checkpoint,
 )
 
+# the moment decay rates and denominator offset recommended by Kingma & Ba
+# (2015), "Adam: A Method for Stochastic Optimization"
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPSILON = 1e-8
+
 
 def rng_for(seed: int, name: str, *extra) -> np.random.Generator:
     """Deterministic generator for a named purpose under one root seed."""
@@ -38,9 +43,6 @@ def rng_for(seed: int, name: str, *extra) -> np.random.Generator:
 class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 100
     patience: int = 10
     grad_clip_norm: float = 5.0
@@ -59,11 +61,8 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.learning_rate < 0 or self.seed < 0:
             raise ConfigError("learning_rate and seed must be nonnegative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not (self.epsilon > 0 and self.grad_clip_norm >= 0):
-            raise ConfigError("epsilon must be positive and grad_clip_norm nonnegative "
-                              "(0 turns clipping off)")
+        if not self.grad_clip_norm >= 0:
+            raise ConfigError("grad_clip_norm must be nonnegative (0 turns clipping off)")
 
 
 def split_corpus(records, ratios, seed):
@@ -150,12 +149,12 @@ def adam_step(params: ModelParameters, grads, state: AdamState, config: TrainCon
     Returns fresh parameter and state objects (inputs are not mutated)."""
     g, _ = clip_global_norm(grads, config.grad_clip_norm)
     t = state.step + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETAS
     m = b1 * state.m + (1 - b1) * g
     v = b2 * state.v + (1 - b2) * g * g
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
-    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return ModelParameters(params.config, flat), AdamState(t, m, v)
 
 

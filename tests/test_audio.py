@@ -70,3 +70,8 @@ def test_slice_rejects_inverted_span():
 def test_slice_rejects_span_beyond_buffer():
     with pytest.raises(DataError):
         slice_audio(make_buffer(seconds=1.0), 0.5, 1.5)
+
+
+def test_slice_far_beyond_buffer_is_data_error():
+    with pytest.raises(DataError, match="ends beyond buffer"):
+        slice_audio(make_buffer(seconds=1.0), 1e305, 1e306)

@@ -69,6 +69,14 @@ def _set_checkpoint_version(version):
     return damage
 
 
+def _set_report_confusions(confusions):
+    def damage(run):
+        report = json.loads((run / "report-test.json").read_text(encoding="utf-8"))
+        report["confusions"] = confusions
+        (run / "report-test.json").write_text(json.dumps(report), encoding="utf-8")
+    return damage
+
+
 def _both(first, second):
     def damage(run):
         first(run)
@@ -84,6 +92,16 @@ def _drop_from_manifest(split):
         (run / "manifest.jsonl").write_text(
             "".join(line for line in lines if json.loads(line)["id"] != dropped),
             encoding="utf-8")
+    return damage
+
+
+def _set_manifest_span(start_s, end_s):
+    """Give every utterance of the run manifest the same span."""
+    def damage(run):
+        lines = (run / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        (run / "manifest.jsonl").write_text("".join(
+            json.dumps({**json.loads(line), "start_s": start_s, "end_s": end_s}) + "\n"
+            for line in lines), encoding="utf-8")
     return damage
 
 
@@ -241,6 +259,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_experiment_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("argv", [["train"], ["sweep", "--sizes", "1"]])
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys, argv):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'\xff\xfe{"a":1}')
+        with pytest.raises(ConfigError, match="c.json"):
+            load_experiment_config(path)
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c.json" in err and "Traceback" not in err
+
 
 class TestExitCodes:
     def test_unknown_variant_exits_1_before_compute(self, tmp_path):
@@ -290,6 +318,20 @@ class TestExitCodes:
         assert main(["train", "--config", str(path), "--fast"]) == 2
         err = capsys.readouterr().err
         assert "missing.tsv" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key,name", [("g2p_rules", "missing.tsv"),
+                                          ("alignments", "missing.jsonl")])
+    def test_unread_missing_rule_file_exits_2(self, tone_corpus, tmp_path, capsys,
+                                              key, name):
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", key: name,
+                  "out_dir": str(tmp_path / "runs")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("ratios,empty", [
@@ -706,6 +748,11 @@ class TestTrainedRun:
         ("evaluate", _set_feature_key("sample_rate", 10 ** 400)),
         ("transcribe", _set_feature_key("frame_length_s", 1e308)),
         ("evaluate", _set_run_key("audio_root", "a\x00b")),
+        ("error-report", _set_report_confusions(
+            [{"ref": 1, "hyp": "a", "count": 1}, {"ref": "b", "hyp": "a", "count": 1}])),
+        ("error-report", _set_report_confusions([{"ref": "b", "hyp": "a", "count": "x"}])),
+        ("evaluate", _set_feature_key("fmax", 8000.0)),
+        ("evaluate", _set_manifest_span(1e305, 1e306)),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
             "evaluate-truncated-run-json", "error-report-empty-report",
@@ -722,7 +769,9 @@ class TestTrainedRun:
             "evaluate-huge-pause-gap", "evaluate-run-json-is-a-directory",
             "error-report-report-is-a-directory", "evaluate-deleted-feature-switch",
             "transcribe-features-not-model-input", "evaluate-huge-sample-rate",
-            "transcribe-frame-length-beyond-float", "evaluate-nul-in-audio-root"])
+            "transcribe-frame-length-beyond-float", "evaluate-nul-in-audio-root",
+            "error-report-numeric-ref", "error-report-text-count",
+            "evaluate-deleted-filterbank-band", "evaluate-span-far-beyond-audio"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
                                            command, damage):
         run = tmp_path / "run"

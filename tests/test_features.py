@@ -123,12 +123,8 @@ class TestMelScale:
 
     def test_zero_spectrum_floors_to_log_epsilon(self):
         bank = build_mel_filterbank(4, 64, 16000)
-        out = mel_filterbank(np.zeros(33), bank, log_floor=1e-10)
+        out = mel_filterbank(np.zeros(33), bank)
         assert np.allclose(out, math.log(1e-10))
-
-    def test_fmax_beyond_nyquist_rejected(self):
-        with pytest.raises(ConfigError, match="Nyquist"):
-            build_mel_filterbank(4, 64, 16000, fmax=9000.0)
 
     def test_n_mels_up_to_the_spectrum_bin_count_accepted(self):
         config = FeatureConfig(n_mels=257)

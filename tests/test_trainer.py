@@ -7,6 +7,8 @@ from tinyasr.corpus import UtteranceRecord
 from tinyasr.errors import ConfigError, DataError, TrainingError
 from tinyasr.model import ModelConfig, ModelParameters, init_parameters
 from tinyasr.training import (
+    ADAM_BETAS,
+    ADAM_EPSILON,
     AdamState,
     TrainConfig,
     TrainItem,
@@ -96,7 +98,7 @@ def reference_adam(tensors, grad_dicts, config):
     """Adam over tensors keyed by name, one tensor at a time, as the update
     was first written; the clipping norm runs over the gradients
     concatenated in layout order. Returns the tensors and both moments."""
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETAS
     tensors, m, v = dict(tensors), {}, {}
     for t, grads in enumerate(grad_dicts, start=1):
         flat = np.concatenate([g.ravel() for g in grads.values()])
@@ -110,7 +112,7 @@ def reference_adam(tensors, grad_dicts, config):
             m_hat = m[name] / (1 - b1 ** t)
             v_hat = v[name] / (1 - b2 ** t)
             tensors[name] = value - config.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                                    + config.epsilon)
+                                                                    + ADAM_EPSILON)
     return tensors, m, v
 
 
