@@ -14,6 +14,7 @@ from .corpus import prepare_corpus_dir, stats_table, write_manifest, write_rejec
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import confusion_report, report_from_json
 from .pipeline import (
+    FAST_MODEL,
     augmentation_sweep,
     emit_results_table,
     evaluate_run,
@@ -88,14 +89,10 @@ def _cmd_transcribe(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_experiment_config(args.config)
-    sizes = config.subset_sizes
-    if args.sizes:
-        try:
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"--sizes takes comma-separated counts, got {args.sizes!r}"
-            ) from exc
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--sizes takes comma-separated counts, got {args.sizes!r}") from exc
     rows = augmentation_sweep(config, sizes, fast=args.fast)
     print(emit_results_table(rows), end="")
     return 0
@@ -128,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train and test-evaluate one experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--fast", action="store_true",
-                   help="use a reduced 2-layer, 64-unit model")
+                   help="use a reduced {num_layers}-layer, {hidden_units}-unit "
+                        "model".format(**FAST_MODEL))
     p.add_argument("--run-dir", default=None,
                    help="override the run directory (default: out_dir/name)")
     p.set_defaults(func=_cmd_train)
@@ -151,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="incremental-data sweep over train subsets")
     p.add_argument("--config", required=True)
-    p.add_argument("--sizes", default=None, help="comma-separated utterance counts")
+    p.add_argument("--sizes", required=True,
+                   help="comma-separated, strictly ascending utterance counts")
     p.add_argument("--fast", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 

@@ -6,29 +6,32 @@ config file's directory.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_args
 
 from .corpus import is_finite_number
 from .errors import ConfigError
 from .features import FeatureConfig
+from .model import ModelConfig
 from .training import TrainConfig
 from .variants import DEFAULT_PAUSE_GAP_S, VARIANTS
 
 SCHEMA_VERSION = 1
 
 # the value types of each section; the seed is a top-level key, shared by
-# the split and the training run
+# the split and the training run, and the model section sets the model
+# fields that the corpus does not decide
 _TOP_TYPES = {
     "schema_version": int, "name": str, "corpus": str, "variant": str,
     "g2p_rules": str | None, "alignments": str | None, "pause_gap_threshold": float,
     "out_dir": str, "seed": int, "features": dict, "model": dict, "train": dict,
-    "subset_sizes": list,
 }
 FEATURE_TYPES = {f.name: f.type for f in fields(FeatureConfig)}
-_MODEL_TYPES = {"num_layers": int, "hidden_units": int}
+_MODEL_TYPES = {f.name: f.type for f in fields(ModelConfig) if f.default is not MISSING}
 _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
+# the string keys that name a run or a file
+_PATH_KEYS = ("name", "corpus", "out_dir", "g2p_rules", "alignments")
 
 
 def check_section(section: dict, types: dict, where: str) -> dict:
@@ -48,29 +51,18 @@ def check_section(section: dict, types: dict, where: str) -> dict:
     return section
 
 
-def check_sizes(sizes, what: str) -> list:
-    """Sweep sizes are strictly ascending positive utterance counts."""
-    sizes = list(sizes)
-    if any(type(s) is not int or s < 1 for s in sizes) or sizes != sorted(set(sizes)):
-        raise ConfigError(f"{what} must be strictly ascending positive counts, got {sizes}")
-    return sizes
-
-
 @dataclass
 class ExperimentConfig:
     name: str
     corpus: Path
     variant: str
-    seed: int = 0
-    g2p_rules: Path | None = None
-    alignments: Path | None = None
-    pause_gap_threshold: float = DEFAULT_PAUSE_GAP_S
-    out_dir: Path = Path("runs")
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    model_layers: int = 3
-    model_hidden: int = 250
-    train: TrainConfig = field(default_factory=TrainConfig)
-    subset_sizes: list = field(default_factory=list)
+    g2p_rules: Path | None
+    alignments: Path | None
+    pause_gap_threshold: float
+    out_dir: Path
+    features: FeatureConfig
+    model: dict  # num_layers and hidden_units, as ModelConfig keywords
+    train: TrainConfig
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -82,7 +74,6 @@ class ExperimentConfig:
             raise ConfigError(f"variant '{self.variant}' requires g2p_rules")
         if self.variant == "ipa-pause-boundaries" and self.alignments is None:
             raise ConfigError("variant 'ipa-pause-boundaries' requires alignments")
-        check_sizes(self.subset_sizes, "subset_sizes")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -107,6 +98,11 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     for key in ("name", "corpus", "variant"):
         if key not in raw:
             raise ConfigError(f"missing required config key '{key}'")
+    for key in _PATH_KEYS:
+        if "\0" in (raw.get(key) or ""):
+            raise ConfigError(f"config key '{key}' holds a NUL character")
+    if raw["name"] in ("", ".", ".."):
+        raise ConfigError(f"config key 'name' must name a run directory, got {raw['name']!r}")
 
     def path_of(key, default=None):
         value = raw.get(key, default)
@@ -117,20 +113,16 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     def section(name, types):
         return check_section(raw.get(name, {}), types, f"{name} section")
 
-    model = section("model", _MODEL_TYPES)
-    seed = raw.get("seed", 0)
+    seed = {"seed": raw["seed"]} if "seed" in raw else {}
     return ExperimentConfig(
         name=raw["name"],
         corpus=path_of("corpus"),
         variant=raw["variant"],
-        seed=seed,
         g2p_rules=path_of("g2p_rules"),
         alignments=path_of("alignments"),
         pause_gap_threshold=float(raw.get("pause_gap_threshold", DEFAULT_PAUSE_GAP_S)),
         out_dir=path_of("out_dir", "runs"),
         features=FeatureConfig(**section("features", FEATURE_TYPES)),
-        model_layers=model.get("num_layers", 3),
-        model_hidden=model.get("hidden_units", 250),
-        train=TrainConfig(seed=seed, **section("train", _TRAIN_TYPES)),
-        subset_sizes=raw.get("subset_sizes", []),
+        model=section("model", _MODEL_TYPES),
+        train=TrainConfig(**seed, **section("train", _TRAIN_TYPES)),
     )

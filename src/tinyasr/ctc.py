@@ -57,12 +57,6 @@ def _extended(target):
     return ext
 
 
-def _check_target(target, n_labels):
-    for label in target:
-        if not 0 < label < n_labels:
-            raise DataError(f"target label {label} outside [1, {n_labels - 1}]")
-
-
 def _log_alpha(lp, ext):
     """Log-space forward variables (T, S) of the blank-extended target
     ext under the per-frame log-probabilities lp. alpha[t, s] includes the
@@ -97,7 +91,9 @@ def ctc_loss(logits, target) -> CTCResult:
     logits = np.asarray(logits, dtype=np.float64)
     T, K = logits.shape
     target = list(target)
-    _check_target(target, K)
+    for label in target:
+        if not 0 < label < K:
+            raise DataError(f"target label {label} outside [1, {K - 1}]")
     need = min_frames(target)
     if T < need:
         raise DataError(
@@ -122,20 +118,14 @@ def ctc_loss(logits, target) -> CTCResult:
 
 
 def _sequence_log_prob(lp, labels) -> float:
+    """Total log-probability under the per-frame log-probabilities lp of
+    all paths collapsing to the label sequence; -inf if the sequence
+    cannot be emitted in T frames."""
     if lp.shape[0] < min_frames(labels):
         return NEG_INF
     if len(labels) == 0:
         return float(lp[:, BLANK_ID].sum())
     return float(np.logaddexp.reduce(_log_alpha(lp, _extended(labels))[-1, -2:]))
-
-
-def sequence_log_prob(logits, labels) -> float:
-    """Total log-probability of all paths collapsing to the label
-    sequence; -inf if the sequence cannot be emitted in T frames."""
-    lp = log_softmax(np.asarray(logits, dtype=np.float64))
-    labels = list(labels)
-    _check_target(labels, lp.shape[1])
-    return _sequence_log_prob(lp, labels)
 
 
 def greedy_decode(logits) -> DecodedSequence:

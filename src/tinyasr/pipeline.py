@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio import read_wav, slice_audio
-from .config import FEATURE_TYPES, ExperimentConfig, check_section, check_sizes
+from .config import FEATURE_TYPES, ExperimentConfig, check_section
 from .corpus import read_manifest, write_manifest
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import build_report, confusion_report, report_to_json
@@ -31,6 +31,8 @@ from .variants import (
 )
 
 RUN_FILE = "run.json"
+# the reduced model of --fast, in place of the config's model section
+FAST_MODEL = {"num_layers": 2, "hidden_units": 64}
 # what evaluate and transcribe read back from a run record, by type
 _RUN_TYPES = {"experiment": str, "variant": str, "audio_root": str,
               "pause_gap_threshold": float, "feature_config": dict, "splits": dict,
@@ -136,10 +138,8 @@ def _load_corpus(config: ExperimentConfig) -> _Corpus:
     records = read_manifest(config.corpus)
     unit_map = corpus_units(records, config.variant, config.g2p_rules,
                             config.alignments, config.pause_gap_threshold)
-    ratios = (config.train.split_train, config.train.split_dev, config.train.split_test)
     return _Corpus(records, Path(config.corpus).resolve().parent, unit_map,
-                   build_vocabulary(unit_map.values()),
-                   *split_corpus(records, ratios, config.seed))
+                   build_vocabulary(unit_map.values()), *split_corpus(records, config.train))
 
 
 def _append_results(out_dir: Path, row: ResultsRow) -> None:
@@ -168,13 +168,9 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
     with _stage("data"):
         if corpus is None:
             corpus = _load_corpus(config)
-        layers, hidden = (2, 64) if fast else (config.model_layers, config.model_hidden)
-        model_config = ModelConfig(
-            input_dim=config.features.dims,
-            vocab_size=corpus.vocab.size - 1,
-            num_layers=layers,
-            hidden_units=hidden,
-        )
+        model_config = ModelConfig(input_dim=config.features.dims,
+                                   vocab_size=corpus.vocab.size - 1,
+                                   **(FAST_MODEL if fast else config.model))
         train_records = corpus.train
         if subset_ids is not None:
             chosen = set(subset_ids)
@@ -201,7 +197,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "schema_version": 1,
         "experiment": experiment_id,
         "variant": config.variant,
-        "seed": config.seed,
+        "seed": config.train.seed,
         "fast": fast,
         "audio_root": str(corpus.audio_root),
         "pause_gap_threshold": config.pause_gap_threshold,
@@ -354,9 +350,11 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
     The corpus is read once, and each utterance that some size uses is
     extracted once.
     """
-    sizes = check_sizes(sizes, "sweep sizes")
-    if not sizes:
-        raise ConfigError("no sweep sizes given (use --sizes or subset_sizes)")
+    sizes = list(sizes)
+    if not sizes or any(type(s) is not int or s < 1 for s in sizes) \
+            or sizes != sorted(set(sizes)):
+        raise ConfigError(f"sweep sizes must be strictly ascending positive counts, "
+                          f"got {sizes}")
     with _stage("data"):
         corpus = _load_corpus(config)
     if sizes[-1] > len(corpus.train):
@@ -364,7 +362,7 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
             f"sweep size {sizes[-1]} exceeds the train split "
             f"({len(corpus.train)} utterances)"
         )
-    shuffled = rng_for(config.seed, "subset").permutation(len(corpus.train))
+    shuffled = rng_for(config.train.seed, "subset").permutation(len(corpus.train))
     ordered = [corpus.train[i] for i in shuffled]
     with _stage("features"):
         corpus.extract(ordered[:sizes[-1]] + corpus.dev + corpus.test, config.features)

@@ -48,13 +48,14 @@ class TrainConfig:
     grad_clip_norm: float = 5.0
     seed: int = 0
     split_train: float = 0.8
-    split_dev: float = 0.1
-    split_test: float = 0.1
+    split_dev: float = 0.1  # test takes the rest
 
     def __post_init__(self):
-        ratios = (self.split_train, self.split_dev, self.split_test)
-        if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios {ratios} must be nonnegative and sum to 1")
+        # written so that NaN fails
+        if not (self.split_train >= 0 and self.split_dev >= 0
+                and self.split_train + self.split_dev <= 1.0 + 1e-9):
+            raise ConfigError(f"split_train {self.split_train} and split_dev "
+                              f"{self.split_dev} must be nonnegative and sum to at most 1")
         if not 0 <= self.patience <= self.max_epochs:
             raise ConfigError("patience must lie in [0, max_epochs]")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -65,17 +66,16 @@ class TrainConfig:
             raise ConfigError("grad_clip_norm must be nonnegative (0 turns clipping off)")
 
 
-def split_corpus(records, ratios, seed):
-    """Deterministic shuffled split into (train, dev, test), each sorted by
-    id. Sizes land within one utterance of ratio * N."""
-    if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
-        raise ConfigError(f"split ratios {ratios} must be nonnegative and sum to 1")
+def split_corpus(records, config: TrainConfig):
+    """Deterministic shuffled split into (train, dev, test) under the
+    config's seed, each sorted by id. Train and dev land within one
+    utterance of their ratio * N; test gets the rest."""
     n = len(records)
     if n < 3:
         raise DataError(f"corpus of {n} utterances is too small to split")
-    order = rng_for(seed, "split").permutation(n)
-    n_train = round(ratios[0] * n)
-    n_dev = min(round(ratios[1] * n), n - n_train)
+    order = rng_for(config.seed, "split").permutation(n)
+    n_train = round(config.split_train * n)
+    n_dev = min(round(config.split_dev * n), n - n_train)
 
     def part(indices):
         return sorted((records[i] for i in indices), key=lambda r: r.id)
@@ -162,7 +162,6 @@ def adam_step(params: ModelParameters, grads, state: AdamState, config: TrainCon
 class TrainResult:
     best_dev_ler: float
     best_epoch: int
-    epochs: list  # per-epoch record dicts
 
 
 def dev_label_error_rate(params, items) -> float:
@@ -193,7 +192,6 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
     best = float("inf")
     best_epoch = 0
     since_improvement = 0
-    records = []
     with open(run_dir / "epochs.jsonl", "w", encoding="utf-8") as log:
         for epoch in range(1, train_config.max_epochs + 1):
             started = time.monotonic()
@@ -224,7 +222,6 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                 "seconds": round(time.monotonic() - started, 3),
                 "lr": train_config.learning_rate,
             }
-            records.append(record)
             log.write(json.dumps(record) + "\n")
             log.flush()
 
@@ -238,4 +235,4 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                 if since_improvement > train_config.patience:
                     break
 
-    return TrainResult(best_dev_ler=best, best_epoch=best_epoch, epochs=records)
+    return TrainResult(best_dev_ler=best, best_epoch=best_epoch)

@@ -93,6 +93,16 @@ def build_vocabulary(unit_lists) -> LabelVocabulary:
     return LabelVocabulary(labels=(BLANK, *units))
 
 
+def _rule_defect(source, target):
+    """Why a rewrite rule cannot work, or None: each rule consumes some
+    text and emits one printable label that is not the blank."""
+    if not source:
+        return "rewrite rule with empty source"
+    if not target or target == BLANK:
+        return f"rewrite rule target {target!r} is no label"
+    return None
+
+
 class G2PRuleSet:
     """Ordered grapheme-to-phoneme rewrite rules.
 
@@ -103,23 +113,26 @@ class G2PRuleSet:
 
     def __init__(self, rules):
         for source, target in rules:
-            if not source:
-                raise ConfigError("rewrite rule with empty source")
+            defect = _rule_defect(source, target)
+            if defect:
+                raise ConfigError(defect)
         # Longest source first; the sort is stable, so file order breaks
         # ties between equal lengths.
         self.rules = sorted(rules, key=lambda rule: -len(rule[0]))
 
     @classmethod
     def from_tsv(cls, path):
+        """Rules from a TSV file; a line that holds no usable rule is a
+        DataError naming the file and the line."""
         rules = []
         for lineno, line in text_lines(path):
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(
-                    f"{Path(path).name} line {lineno}: expected 'source<TAB>target'"
-                )
+            defect = ("expected 'source<TAB>target'" if len(parts) != 2
+                      else _rule_defect(*parts))
+            if defect:
+                raise DataError(f"{Path(path).name} line {lineno}: {defect}")
             rules.append((unicodedata.normalize("NFC", parts[0]), parts[1]))
         return cls(rules)
 

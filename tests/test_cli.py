@@ -161,8 +161,9 @@ class TestConfigParsing:
     def test_minimal_config(self):
         config = parse_experiment_config(self.base())
         assert config.variant == "orig-no-spaces"
-        assert config.model_layers == 3
-        assert config.model_hidden == 250
+        assert config.model == {}
+        assert config.train.seed == 0
+        assert config.out_dir == Path("runs").resolve()
 
     def test_unknown_top_level_key(self):
         raw = self.base()
@@ -194,11 +195,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="g2p"):
             parse_experiment_config(raw)
 
-    def test_subset_sizes_must_ascend(self):
+    def test_subset_sizes_is_no_longer_a_key(self):
         raw = self.base()
-        raw["subset_sizes"] = [50, 25]
-        with pytest.raises(ConfigError, match="ascending"):
+        raw["subset_sizes"] = [25, 50]
+        with pytest.raises(ConfigError, match="unknown config key 'subset_sizes'"):
             parse_experiment_config(raw)
+
+    def test_split_test_is_no_longer_a_key(self):
+        raw = self.base()
+        raw["train"] = {"split_test": 0.1}
+        with pytest.raises(ConfigError, match="unknown config key 'split_test'"):
+            parse_experiment_config(raw)
+
+    def test_seed_is_the_train_seed(self):
+        raw = self.base()
+        raw["seed"] = 7
+        assert parse_experiment_config(raw).train.seed == 7
 
     def test_weight_decay_is_no_longer_a_key(self):
         raw = self.base()
@@ -228,6 +240,9 @@ class TestConfigParsing:
         ("features", "fmin", -1.0),
         ("features", "fmax", 9000.0),
         ("train", "split_train", float("nan")),
+        ("train", "split_dev", float("nan")),
+        ("train", "split_dev", -0.1),
+        ("train", "split_dev", 0.3),
         ("train", "learning_rate", float("nan")),
         (None, "pause_gap_threshold", float("nan")),
         ("features", "deltas", False),
@@ -239,6 +254,12 @@ class TestConfigParsing:
           for section, key in [(None, "pause_gap_threshold"), ("features", "frame_length_s"),
                                ("train", "learning_rate"), ("train", "grad_clip_norm"),
                                ("features", "sample_rate")]),
+        *(pytest.param(None, key, value, id=f"None-{key}-NUL")
+          for key, value in [("name", "x\0"), ("corpus", "m\0.jsonl"),
+                             ("out_dir", "runs\0"), ("g2p_rules", "g2p\0.tsv"),
+                             ("alignments", "\0")]),
+        (None, "name", ""),
+        (None, "name", ".."),
     ])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
         raw = self.base()
@@ -251,8 +272,11 @@ class TestConfigParsing:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=key):
             load_experiment_config(path)
-        assert main(["train", "--config", str(path)]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        for argv in (["train"], ["sweep", "--sizes", "1"]):
+            assert main([*argv, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
     def test_missing_file_is_config_error(self, tmp_path):
@@ -295,6 +319,18 @@ class TestExitCodes:
         assert "missing.jsonl" in err
         assert "Traceback" not in err
 
+    def test_sweep_without_sizes_exits_1(self, tone_corpus, tmp_path, capsys):
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--sizes" in err and "Traceback" not in err
+        assert main(["sweep", "--config", str(path), "--sizes", ","]) == 1
+        assert "sweep sizes" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_duplicate_manifest_id_exits_2_before_any_run(self, tone_corpus, tmp_path,
                                                            capsys):
         manifest = tmp_path / "manifest.jsonl"
@@ -335,15 +371,15 @@ class TestExitCodes:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("ratios,empty", [
-        ((0.9, 0.1, 0.0), "test"),
-        ((0.9, 0.0, 0.1), "dev"),
-        ((0.0, 0.5, 0.5), "train"),
+        ((0.9, 0.1), "test"),
+        ((0.9, 0.0), "dev"),
+        ((0.0, 0.5), "train"),
     ])
     def test_empty_split_exits_2_before_any_run(self, tone_corpus, tmp_path, capsys,
                                                 ratios, empty):
         config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
                   "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
-                  "train": dict(zip(("split_train", "split_dev", "split_test"), ratios))}
+                  "train": dict(zip(("split_train", "split_dev"), ratios))}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["train", "--config", str(path), "--fast"]) == 2
@@ -882,3 +918,57 @@ class TestIpaPauseVariant:
         assert report.n_utterances == len(info["splits"]["test"])
         _, vocab = load_checkpoint(run / "checkpoint.bin")
         assert " " in vocab.labels  # pause variant keeps a space label
+
+
+_G2P_DEFECTS = [("\tx", "empty source"), ("a\t<blank>", "'<blank>'"), ("a\t", "''")]
+
+
+class TestG2PRuleDefects:
+    """A G2P rule file line that holds no usable rule is a data error
+    naming the file and the line, from train and from evaluate alike."""
+
+    def ipa_config(self, tone_corpus, tmp_path, rules):
+        config = {
+            "schema_version": 1,
+            "name": "ipa",
+            "corpus": str(tone_corpus["manifest"]),
+            "variant": "ipa-no-spaces",
+            "g2p_rules": str(rules),
+            "out_dir": str(tmp_path / "runs"),
+            "model": {"num_layers": 1, "hidden_units": 8},
+            "train": {"max_epochs": 1, "patience": 1},
+        }
+        path = tmp_path / "ipa.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def with_defect(self, source, target, line):
+        """Copy the rule file with a defective line put before its last."""
+        lines = source.read_text(encoding="utf-8").splitlines(True)
+        target.write_text("".join(lines[:-1]) + line + "\n" + lines[-1], encoding="utf-8")
+        return len(lines)
+
+    @pytest.mark.parametrize("line,shown", _G2P_DEFECTS)
+    def test_train_exits_2_before_any_run(self, tone_corpus, tmp_path, capsys, line,
+                                          shown):
+        rules = tmp_path / "rules.tsv"
+        lineno = self.with_defect(tone_corpus["corpus"] / "g2p.tsv", rules, line)
+        path = self.ipa_config(tone_corpus, tmp_path, rules)
+        assert main(["train", "--config", str(path), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage 'data': rules.tsv line {lineno}: ")
+        assert shown in err and err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
+    def test_evaluate_exits_2_on_a_defective_copy(self, tone_corpus, tmp_path, capsys):
+        rules = tone_corpus["corpus"] / "g2p.tsv"
+        assert main(["train", "--config",
+                     str(self.ipa_config(tone_corpus, tmp_path, rules))]) == 0
+        run = tmp_path / "runs" / "ipa"
+        capsys.readouterr()
+        for line, shown in _G2P_DEFECTS:
+            lineno = self.with_defect(rules, run / "g2p.tsv", line)
+            assert main(["evaluate", "--run", str(run)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: g2p.tsv line {lineno}: ")
+            assert shown in err and err.count("\n") == 1

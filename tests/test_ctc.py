@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from tinyasr.ctc import (
+    _sequence_log_prob,
     beam_decode,
     collapse,
     ctc_loss,
     greedy_decode,
     log_softmax,
     min_frames,
-    sequence_log_prob,
 )
 from tinyasr.errors import DataError
 
@@ -209,7 +209,7 @@ class TestBeam:
             V = int(rng.integers(1, 4))
             logits = rng.normal(size=(T, V + 1)) * 2.0
             greedy = greedy_decode(logits)
-            greedy_total = sequence_log_prob(logits, greedy.labels)
+            greedy_total = _sequence_log_prob(log_softmax(logits), greedy.labels)
             decoded = beam_decode(logits, V + 1)
             assert decoded.score >= greedy_total - 1e-9
 
@@ -224,7 +224,8 @@ class TestSequenceLogProb:
         logits = rng.normal(size=(4, 3))
         table = enumerate_sequences(logits)
         for seq, log_p in table.items():
-            assert sequence_log_prob(logits, list(seq)) == pytest.approx(log_p, abs=1e-9)
+            assert _sequence_log_prob(log_softmax(logits), list(seq)) \
+                == pytest.approx(log_p, abs=1e-9)
 
     def test_infeasible_sequence_is_neg_inf(self):
-        assert sequence_log_prob(np.zeros((1, 3)), [1, 2]) == -np.inf
+        assert _sequence_log_prob(log_softmax(np.zeros((1, 3))), [1, 2]) == -np.inf

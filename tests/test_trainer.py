@@ -36,31 +36,33 @@ def items(n, dims=3, rng=None, frames=12):
 
 class TestSplit:
     def test_80_10_10_of_ten(self):
-        train_r, dev_r, test_r = split_corpus(records(10), (0.8, 0.1, 0.1), 0)
+        train_r, dev_r, test_r = split_corpus(records(10), TrainConfig())
         assert (len(train_r), len(dev_r), len(test_r)) == (8, 1, 1)
 
     def test_same_seed_same_split(self):
-        a = split_corpus(records(20), (0.8, 0.1, 0.1), 3)
-        b = split_corpus(records(20), (0.8, 0.1, 0.1), 3)
+        a = split_corpus(records(20), TrainConfig(seed=3))
+        b = split_corpus(records(20), TrainConfig(seed=3))
         assert [[r.id for r in part] for part in a] == [[r.id for r in part] for part in b]
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(ConfigError):
-            split_corpus(records(10), (0.5, 0.5, 0.5), 0)
+            split_corpus(records(10), TrainConfig(split_train=0.5, split_dev=0.6))
 
     def test_too_small_corpus(self):
         with pytest.raises(DataError):
-            split_corpus(records(2), (0.8, 0.1, 0.1), 0)
+            split_corpus(records(2), TrainConfig())
 
     def test_ids_disjoint_and_complete(self):
-        parts = split_corpus(records(23), (0.7, 0.2, 0.1), 5)
+        parts = split_corpus(records(23), TrainConfig(seed=5, split_train=0.7,
+                                                      split_dev=0.2))
         all_ids = [r.id for part in parts for r in part]
         assert len(all_ids) == 23
         assert len(set(all_ids)) == 23
 
     def test_sizes_within_one_of_ratio(self):
         for n in (7, 13, 29, 100):
-            parts = split_corpus(records(n), (0.6, 0.2, 0.2), 1)
+            parts = split_corpus(records(n), TrainConfig(seed=1, split_train=0.6,
+                                                         split_dev=0.2))
             for part, ratio in zip(parts, (0.6, 0.2, 0.2)):
                 assert abs(len(part) - ratio * n) <= 1.0
 
@@ -189,8 +191,17 @@ class TestAdam:
 
 class TestTrainConfig:
     def test_ratios_must_sum_to_one(self):
+        """Train and dev may sum to at most 1; test takes the rest."""
         with pytest.raises(ConfigError):
-            TrainConfig(split_train=0.5, split_dev=0.5, split_test=0.5)
+            TrainConfig(split_train=0.5, split_dev=0.5 + 1e-6)
+        TrainConfig(split_train=0.5, split_dev=0.5)
+        TrainConfig(split_train=0.7, split_dev=0.2 + 1e-10)
+
+    @pytest.mark.parametrize("ratios", [(-0.1, 0.1), (0.8, -0.0001),
+                                        (float("nan"), 0.1), (0.8, float("nan"))])
+    def test_ratios_nonnegative_and_not_nan(self, ratios):
+        with pytest.raises(ConfigError):
+            TrainConfig(split_train=ratios[0], split_dev=ratios[1])
 
     def test_patience_cannot_exceed_epochs(self):
         with pytest.raises(ConfigError):
@@ -237,11 +248,11 @@ class TestTrainLoop:
         return result, run_dir
 
     def test_writes_log_and_checkpoint(self, tmp_path):
-        result, run_dir = self.run(tmp_path)
+        _, run_dir = self.run(tmp_path)
         assert (run_dir / "checkpoint.bin").exists()
         assert not (run_dir / "train_state.bin").exists()
         lines = (run_dir / "epochs.jsonl").read_text().splitlines()
-        assert len(lines) == len(result.epochs)
+        assert len(lines) == 3
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "train_loss", "dev_ler", "seconds", "lr"}
 
@@ -257,8 +268,9 @@ class TestTrainLoop:
             assert ra == rb
 
     def test_best_dev_ler_is_running_minimum(self, tmp_path):
-        result, _ = self.run(tmp_path, max_epochs=5, patience=5)
-        lers = [r["dev_ler"] for r in result.epochs]
+        result, run_dir = self.run(tmp_path, max_epochs=5, patience=5)
+        lers = [json.loads(line)["dev_ler"]
+                for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
         assert result.best_dev_ler == min(lers)
         # accepted checkpoints form a non-increasing sequence by construction
         accepted = []
@@ -277,10 +289,10 @@ class TestTrainLoop:
                              patience=0, seed=0)
         model_config = ModelConfig(input_dim=6, vocab_size=2, num_layers=1,
                                    hidden_units=4)
-        result = train(train_items, dev_items, model_config, config,
-                       tmp_path / "p0", ("<blank>", "a", "b"))
+        train(train_items, dev_items, model_config, config, tmp_path / "p0",
+              ("<blank>", "a", "b"))
         # lr 0 never improves after the first epoch's dev LER is recorded
-        assert len(result.epochs) == 2
+        assert len((tmp_path / "p0" / "epochs.jsonl").read_text().splitlines()) == 2
 
     def test_zero_learning_rate_checkpoint_equals_initialization(self, tmp_path):
         from tinyasr.model import load_checkpoint

@@ -96,6 +96,11 @@ class TestG2P:
         with pytest.raises(ConfigError):
             G2PRuleSet([("", "x")])
 
+    @pytest.mark.parametrize("target", ["", "<blank>"])
+    def test_target_that_is_no_label_rejected(self, target):
+        with pytest.raises(ConfigError, match="no label"):
+            G2PRuleSet([("a", target)])
+
     def test_from_tsv(self, tmp_path):
         path = tmp_path / "rules.tsv"
         path.write_text("# comment\nī\tiː\nm\tm\n \t \n", encoding="utf-8")
