@@ -16,7 +16,7 @@ from .corpus import (
 from .config import ExperimentConfig, load_experiment_config
 from .ctc import beam_decode, collapse, ctc_loss, greedy_decode
 from .evaluation import confusion_report, corpus_ler, edit_distance
-from .features import FeatureConfig, FeatureMatrix, extract_features
+from .features import FeatureMatrix, extract_features
 from .model import ModelConfig, decode, init_parameters, load_checkpoint
 from .pipeline import (
     ResultsRow,

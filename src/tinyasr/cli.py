@@ -32,6 +32,13 @@ def _beam_width(text) -> int:
     return int(text)
 
 
+def _path(text) -> str:
+    """Type of an output or run directory option: a path without NUL."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"path holds a NUL character: {text!r}")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with its own code 2 on usage errors; bad usage is a
     # configuration error under this tool's exit-code contract
@@ -41,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_prepare(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest, rejections = prepare_corpus_dir(args.corpus_dir, tier=args.tier)
+    out_dir.mkdir(parents=True, exist_ok=True)
     relocate_audio_paths(manifest.records, args.corpus_dir, out_dir)
     write_manifest(manifest.records, out_dir / "manifest.jsonl")
     write_rejections(rejections, out_dir / "rejections.jsonl")
@@ -118,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="clean and filter a corpus directory")
     p.add_argument("corpus_dir")
-    p.add_argument("--out", required=True, help="output directory for the manifest")
+    p.add_argument("--out", type=_path, required=True,
+                   help="output directory for the manifest")
     p.add_argument("--tier", default=None, help="only ingest this EAF tier")
     p.set_defaults(func=_cmd_prepare)
 
@@ -127,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true",
                    help="use a reduced {num_layers}-layer, {hidden_units}-unit "
                         "model".format(**FAST_MODEL))
-    p.add_argument("--run-dir", default=None,
+    p.add_argument("--run-dir", type=_path, default=None,
                    help="override the run directory (default: out_dir/name)")
     p.set_defaults(func=_cmd_train)
 
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("error-report", help="print the confusion table of a run")
-    p.add_argument("--run", required=True)
+    p.add_argument("--run", type=_path, required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--top-k", type=int, default=20)
     p.set_defaults(func=_cmd_error_report)

@@ -12,7 +12,6 @@ from typing import get_args
 
 from .corpus import is_finite_number
 from .errors import ConfigError
-from .features import FeatureConfig
 from .model import ModelConfig
 from .training import TrainConfig
 from .variants import DEFAULT_PAUSE_GAP_S, VARIANTS
@@ -21,13 +20,12 @@ SCHEMA_VERSION = 1
 
 # the value types of each section; the seed is a top-level key, shared by
 # the split and the training run, and the model section sets the model
-# fields that the corpus does not decide
+# fields that the corpus and the front end do not decide
 _TOP_TYPES = {
     "schema_version": int, "name": str, "corpus": str, "variant": str,
     "g2p_rules": str | None, "alignments": str | None, "pause_gap_threshold": float,
-    "out_dir": str, "seed": int, "features": dict, "model": dict, "train": dict,
+    "out_dir": str, "seed": int, "model": dict, "train": dict,
 }
-FEATURE_TYPES = {f.name: f.type for f in fields(FeatureConfig)}
 _MODEL_TYPES = {f.name: f.type for f in fields(ModelConfig) if f.default is not MISSING}
 _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
 # the string keys that name a run or a file
@@ -60,7 +58,6 @@ class ExperimentConfig:
     alignments: Path | None
     pause_gap_threshold: float
     out_dir: Path
-    features: FeatureConfig
     model: dict  # num_layers and hidden_units, as ModelConfig keywords
     train: TrainConfig
 
@@ -122,7 +119,6 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
         alignments=path_of("alignments"),
         pause_gap_threshold=float(raw.get("pause_gap_threshold", DEFAULT_PAUSE_GAP_S)),
         out_dir=path_of("out_dir", "runs"),
-        features=FeatureConfig(**section("features", FEATURE_TYPES)),
         model=section("model", _MODEL_TYPES),
         train=TrainConfig(**seed, **section("train", _TRAIN_TYPES)),
     )

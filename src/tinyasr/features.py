@@ -5,7 +5,6 @@ log mel filterbank energies plus log frame energy, delta and delta-delta
 appendage, per-utterance mean/variance normalization.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,47 +14,27 @@ from .errors import ConfigError, DataError
 
 PREEMPHASIS = 0.97
 LOG_FLOOR = 1e-10  # energies are floored here before the log
+FRAME_LENGTH_S = 0.025
+FRAME_SHIFT_S = 0.010
+N_MELS = 40
+DIMS = 3 * (N_MELS + 1)  # mel energies plus frame energy, with deltas and delta-deltas
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    sample_rate: int = 16000
-    frame_length_s: float = 0.025
-    frame_shift_s: float = 0.010
-    n_mels: int = 40
+def frame_sizes(sample_rate: int) -> tuple:
+    """Frame length, frame shift and FFT size in samples at a sample rate.
 
-    def __post_init__(self):
-        if self.sample_rate < 1 or self.n_mels < 1:
-            raise ConfigError("sample_rate and n_mels must be at least 1")
-        for key in ("frame_length_s", "frame_shift_s"):
-            seconds = getattr(self, key)
-            samples = float(seconds) * self.sample_rate  # an int product can overflow
-            if not (math.isfinite(samples) and round(samples) >= 1):
-                raise ConfigError(f"{key} {seconds} must span a finite number of "
-                                  f"samples, at least one")
-        if self.n_mels > self.nfft // 2 + 1:
-            raise ConfigError(f"n_mels {self.n_mels} exceeds the {self.nfft // 2 + 1} "
-                              f"spectrum bins of a {self.frame_length}-sample frame")
-
-    @property
-    def frame_length(self) -> int:
-        return int(round(self.frame_length_s * self.sample_rate))
-
-    @property
-    def frame_shift(self) -> int:
-        return int(round(self.frame_shift_s * self.sample_rate))
-
-    @property
-    def nfft(self) -> int:
-        n = 1
-        while n < self.frame_length:
-            n *= 2
-        return n
-
-    @property
-    def dims(self) -> int:
-        """n_mels energies plus frame energy, with deltas and delta-deltas."""
-        return 3 * (self.n_mels + 1)
+    A rate whose frames have fewer spectrum bins than N_MELS (below about
+    2.6 kHz, or not positive) is a DataError.
+    """
+    frame_length = round(FRAME_LENGTH_S * sample_rate)
+    nfft = 1
+    while nfft < frame_length:
+        nfft *= 2
+    if nfft // 2 + 1 < N_MELS:
+        raise DataError(f"sample rate {sample_rate} Hz is too low: its "
+                        f"{FRAME_LENGTH_S * 1000:g} ms frames have {nfft // 2 + 1} spectrum "
+                        f"bins, fewer than the {N_MELS} mel bands")
+    return frame_length, round(FRAME_SHIFT_S * sample_rate), nfft
 
 
 @dataclass
@@ -150,17 +129,19 @@ def normalize_cmvn(x: np.ndarray) -> np.ndarray:
     return centered / np.where(std > 1e-20, std, 1.0)
 
 
-def extract_features(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
-    """Full pipeline from audio samples to a normalized FeatureMatrix."""
-    if audio.sample_rate != config.sample_rate:
+def extract_features(audio: AudioBuffer, sample_rate: int) -> FeatureMatrix:
+    """Full pipeline from audio samples at sample_rate to a normalized
+    FeatureMatrix."""
+    if audio.sample_rate != sample_rate:
         raise DataError(
-            f"audio sample rate {audio.sample_rate} does not match configured "
-            f"{config.sample_rate} (resampling is unsupported)"
+            f"audio sample rate {audio.sample_rate} does not match the run's "
+            f"{sample_rate} (resampling is unsupported)"
         )
+    frame_length, frame_shift, nfft = frame_sizes(sample_rate)
     emphasized = preemphasize(audio.samples, PREEMPHASIS)
-    frames = frame_signal(emphasized, config.frame_length, config.frame_shift)
-    spectra = power_spectrum(frames * np.hamming(config.frame_length), config.nfft)
-    bank = build_mel_filterbank(config.n_mels, config.nfft, config.sample_rate)
+    frames = frame_signal(emphasized, frame_length, frame_shift)
+    spectra = power_spectrum(frames * np.hamming(frame_length), nfft)
+    bank = build_mel_filterbank(N_MELS, nfft, sample_rate)
     mels = mel_filterbank(spectra, bank)
     energy = np.log(np.maximum(spectra.sum(axis=1), LOG_FLOOR))
     feats = append_deltas(np.concatenate([mels, energy[:, None]], axis=1))

@@ -13,12 +13,12 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .audio import read_wav, slice_audio
-from .config import FEATURE_TYPES, ExperimentConfig, check_section
+from .audio import read_wav, slice_audio, wav_info
+from .config import ExperimentConfig, check_section
 from .corpus import read_manifest, write_manifest
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import build_report, confusion_report, report_to_json
-from .features import FeatureConfig, extract_features
+from .features import DIMS, extract_features, frame_sizes
 from .model import ModelConfig, decode, load_checkpoint
 from .training import TrainItem, rng_for, split_corpus, train
 from .variants import (
@@ -35,7 +35,7 @@ RUN_FILE = "run.json"
 FAST_MODEL = {"num_layers": 2, "hidden_units": 64}
 # what evaluate and transcribe read back from a run record, by type
 _RUN_TYPES = {"experiment": str, "variant": str, "audio_root": str,
-              "pause_gap_threshold": float, "feature_config": dict, "splits": dict,
+              "pause_gap_threshold": float, "sample_rate": int, "splits": dict,
               "subset": list | None}
 
 
@@ -90,7 +90,7 @@ def corpus_units(records, variant, g2p_path, alignments_path, gap_threshold):
     }
 
 
-def build_items(records, unit_map, vocab, audio_root, feature_config):
+def build_items(records, unit_map, vocab, audio_root, sample_rate):
     """Slice audio, extract features, and encode targets for each record."""
     audio_root = Path(audio_root)
     buffers = {}
@@ -99,7 +99,7 @@ def build_items(records, unit_map, vocab, audio_root, feature_config):
         if record.audio not in buffers:
             buffers[record.audio] = read_wav(audio_root / record.audio)
         clip = slice_audio(buffers[record.audio], record.start_s, record.end_s)
-        matrix = extract_features(clip, feature_config)
+        matrix = extract_features(clip, sample_rate)
         target = vocab.encode(unit_map[record.id], record.id)
         items.append(TrainItem(id=record.id, features=matrix.frames, target=target))
     return items
@@ -107,11 +107,13 @@ def build_items(records, unit_map, vocab, audio_root, feature_config):
 
 @dataclass
 class _Corpus:
-    """A corpus read, encoded and split once per command; items holds the
-    utterances extracted so far, by id, so none is extracted twice."""
+    """A corpus read, encoded and split once per command; its first
+    utterance's audio sets the sample rate, and items holds the utterances
+    extracted so far, by id, so none is extracted twice."""
 
     records: list
     audio_root: Path
+    sample_rate: int
     unit_map: dict
     vocab: LabelVocabulary
     train: list
@@ -119,10 +121,10 @@ class _Corpus:
     test: list
     items: dict = field(default_factory=dict)
 
-    def extract(self, records, feature_config) -> None:
+    def extract(self, records) -> None:
         todo = [r for r in records if r.id not in self.items]
         for item in build_items(todo, self.unit_map, self.vocab, self.audio_root,
-                                feature_config):
+                                self.sample_rate):
             self.items[item.id] = item
 
 
@@ -138,8 +140,12 @@ def _load_corpus(config: ExperimentConfig) -> _Corpus:
     records = read_manifest(config.corpus)
     unit_map = corpus_units(records, config.variant, config.g2p_rules,
                             config.alignments, config.pause_gap_threshold)
-    return _Corpus(records, Path(config.corpus).resolve().parent, unit_map,
-                   build_vocabulary(unit_map.values()), *split_corpus(records, config.train))
+    splits = split_corpus(records, config.train)
+    audio_root = Path(config.corpus).resolve().parent
+    sample_rate, _ = wav_info(audio_root / records[0].audio)
+    frame_sizes(sample_rate)  # rejects a rate too low for the front end
+    return _Corpus(records, audio_root, sample_rate, unit_map,
+                   build_vocabulary(unit_map.values()), *splits)
 
 
 def _append_results(out_dir: Path, row: ResultsRow) -> None:
@@ -168,8 +174,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
     with _stage("data"):
         if corpus is None:
             corpus = _load_corpus(config)
-        model_config = ModelConfig(input_dim=config.features.dims,
-                                   vocab_size=corpus.vocab.size - 1,
+        model_config = ModelConfig(input_dim=DIMS, vocab_size=corpus.vocab.size - 1,
                                    **(FAST_MODEL if fast else config.model))
         train_records = corpus.train
         if subset_ids is not None:
@@ -201,7 +206,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "fast": fast,
         "audio_root": str(corpus.audio_root),
         "pause_gap_threshold": config.pause_gap_threshold,
-        "feature_config": asdict(config.features),
+        "sample_rate": corpus.sample_rate,
         "model": asdict(model_config),
         "train": asdict(config.train),
         "splits": {name: [r.id for r in part] for name, part in parts.items()},
@@ -210,7 +215,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
     _write_run_info(run_dir, run_info)
 
     with _stage("features"):
-        corpus.extract(train_records + corpus.dev + corpus.test, config.features)
+        corpus.extract(train_records + corpus.dev + corpus.test)
     train_items, dev_items, test_items = (
         [corpus.items[r.id] for r in part] for part in (train_records, corpus.dev, corpus.test))
 
@@ -219,7 +224,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
                        corpus.vocab.labels)
 
     with _stage("evaluate"):
-        params, vocab, _ = _load_run_model(run_dir, run_info)
+        params, vocab = _load_run_model(run_dir)
         row, _ = _report_split(run_dir, run_info, "test", params, vocab, test_items,
                                {r.id: r for r in corpus.records})
     run_info["results"] = {
@@ -250,35 +255,35 @@ def _read_run_info(run_dir) -> dict:
         info = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: unreadable ({exc})") from exc
-    if not isinstance(info, dict) or any(key not in info for key in _RUN_TYPES):
-        raise DataError(f"{path}: not a run record (needs {', '.join(_RUN_TYPES)})")
+    missing = [key for key in _RUN_TYPES if not isinstance(info, dict) or key not in info]
+    if missing:
+        raise DataError(f"{path}: not a run record (lacks {', '.join(missing)})")
     try:
         check_section({key: info[key] for key in _RUN_TYPES}, _RUN_TYPES, RUN_FILE)
         if info["variant"] not in VARIANTS:
             raise ConfigError(f"unknown transcript variant '{info['variant']}'")
-        check_section(info["feature_config"], FEATURE_TYPES, "feature_config")
-        FeatureConfig(**info["feature_config"])  # rejects values that cannot work
+        frame_sizes(info["sample_rate"])  # rejects a rate that cannot work
         id_lists = [*info["splits"].values(), info["subset"] or []]
         if sorted(info["splits"]) != ["dev", "test", "train"] or not all(
                 isinstance(ids, list) and all(isinstance(i, str) for i in ids)
                 for ids in id_lists):
             raise ConfigError("splits and subset must list utterance ids")
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: not a run record ({exc})") from exc
     return info
 
 
-def _load_run_model(run_dir, run_info):
-    """A finished run's parameters, label vocabulary and feature config."""
-    params, vocab = load_checkpoint(Path(run_dir) / "checkpoint.bin")
-    feature_config = FeatureConfig(**run_info["feature_config"])
-    if feature_config.dims != params.config.input_dim:
-        raise DataError(f"{RUN_FILE} feature_config gives {feature_config.dims} "
-                        f"dimensions; the model takes {params.config.input_dim}")
-    return params, vocab, feature_config
+def _load_run_model(run_dir):
+    """A finished run's parameters and label vocabulary."""
+    path = Path(run_dir) / "checkpoint.bin"
+    params, vocab = load_checkpoint(path)
+    if params.config.input_dim != DIMS:
+        raise DataError(f"{path}: the model takes {params.config.input_dim} feature "
+                        f"dimensions; the front end gives {DIMS}")
+    return params, vocab
 
 
-def _load_split(run_dir, run_info, split, vocab, feature_config):
+def _load_split(run_dir, run_info, split, vocab):
     """Rebuild one split's items from a run directory; also returns the
     run's records by id."""
     if split not in run_info["splits"]:
@@ -298,7 +303,7 @@ def _load_split(run_dir, run_info, split, vocab, feature_config):
     unit_map = corpus_units(split_records, run_info["variant"], run_dir / "g2p.tsv",
                             run_dir / "words.jsonl", run_info["pause_gap_threshold"])
     items = build_items(split_records, unit_map, vocab, run_info["audio_root"],
-                        feature_config)
+                        run_info["sample_rate"])
     return items, records
 
 
@@ -336,8 +341,8 @@ def evaluate_run(run_dir, split="test", beam_width=None):
     greedily or, when beam_width is set, by prefix beam search."""
     run_dir = Path(run_dir)
     run_info = _read_run_info(run_dir)
-    params, vocab, feature_config = _load_run_model(run_dir, run_info)
-    items, records = _load_split(run_dir, run_info, split, vocab, feature_config)
+    params, vocab = _load_run_model(run_dir)
+    items, records = _load_split(run_dir, run_info, split, vocab)
     return _report_split(run_dir, run_info, split, params, vocab, items, records,
                          beam_width)
 
@@ -365,7 +370,7 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
     shuffled = rng_for(config.train.seed, "subset").permutation(len(corpus.train))
     ordered = [corpus.train[i] for i in shuffled]
     with _stage("features"):
-        corpus.extract(ordered[:sizes[-1]] + corpus.dev + corpus.test, config.features)
+        corpus.extract(ordered[:sizes[-1]] + corpus.dev + corpus.test)
 
     rows = []
     for size in sizes:
@@ -391,7 +396,8 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
     next to each input.
     """
     run_dir = Path(run_dir)
-    params, vocab, feature_config = _load_run_model(run_dir, _read_run_info(run_dir))
+    sample_rate = _read_run_info(run_dir)["sample_rate"]
+    params, vocab = _load_run_model(run_dir)
 
     wav_paths = [Path(wav_path) for wav_path in wav_paths]
     frames, errors = {}, {}
@@ -399,7 +405,7 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
         try:
             if not wav_path.exists():
                 raise DataError(f"file not found: {wav_path}")
-            frames[index] = extract_features(read_wav(wav_path), feature_config).frames
+            frames[index] = extract_features(read_wav(wav_path), sample_rate).frames
         except DataError as exc:
             errors[index] = str(exc)
     decoded = dict(zip(frames, decode(params, list(frames.values()), beam_width)))

@@ -17,8 +17,9 @@ from tinyasr.audio import AudioBuffer, write_wav
 from tinyasr.cli import main
 from tinyasr.config import load_experiment_config, parse_experiment_config
 from tinyasr.errors import ConfigError
-from tinyasr.model import load_checkpoint
+from tinyasr.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 from tinyasr.pipeline import ResultsRow, emit_results_table, evaluate_run
+from tinyasr.synthetic import generate_tone_corpus
 from tinyasr.training import rng_for
 
 
@@ -54,11 +55,25 @@ def _set_run_key(key, value):
     return damage
 
 
-def _set_feature_key(key, value):
+def _record_before_the_rate(**feature_config):
+    """Rewrite run.json as a run from before the audio set the sample rate
+    wrote it: a feature_config section holding the rate, and no
+    sample_rate key."""
     def damage(run):
         info = json.loads((run / "run.json").read_text())
-        info["feature_config"][key] = value
+        info["feature_config"] = {"sample_rate": info.pop("sample_rate"), **feature_config}
         (run / "run.json").write_text(json.dumps(info))
+    return damage
+
+
+def _model_of_input_dim(input_dim):
+    """Replace the checkpoint by a model of another input dimension, with
+    the same vocabulary."""
+    def damage(run):
+        _, vocab = load_checkpoint(run / "checkpoint.bin")
+        config = ModelConfig(input_dim=input_dim, vocab_size=vocab.size - 1,
+                             num_layers=1, hidden_units=4)
+        save_checkpoint(run / "checkpoint.bin", init_parameters(config, 0), vocab.labels)
     return damage
 
 
@@ -253,7 +268,8 @@ class TestConfigParsing:
         *(pytest.param(section, key, 10 ** 400, id=f"{section}-{key}-401-digits")
           for section, key in [(None, "pause_gap_threshold"), ("features", "frame_length_s"),
                                ("train", "learning_rate"), ("train", "grad_clip_norm"),
-                               ("features", "sample_rate")]),
+                               ("features", "sample_rate"), ("train", "batch_size")]),
+        ("features", "sample_rate", 8000),
         *(pytest.param(None, key, value, id=f"None-{key}-NUL")
           for key, value in [("name", "x\0"), ("corpus", "m\0.jsonl"),
                              ("out_dir", "runs\0"), ("g2p_rules", "g2p\0.tsv"),
@@ -262,6 +278,9 @@ class TestConfigParsing:
         (None, "name", ".."),
     ])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
+        # the audio sets the sample rate and the front end is fixed, so a
+        # features section is itself the unknown key, whatever it sets
+        match = "unknown config key 'features'" if section == "features" else key
         raw = self.base()
         raw["out_dir"] = str(tmp_path / "runs")
         if section is None:
@@ -270,7 +289,7 @@ class TestConfigParsing:
             raw[section] = {key: value}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=match):
             load_experiment_config(path)
         for argv in (["train"], ["sweep", "--sizes", "1"]):
             assert main([*argv, "--config", str(path)]) == 1
@@ -409,6 +428,24 @@ class TestExitCodes:
     def test_prepare_missing_dir_exits_2(self, tmp_path):
         assert main(["prepare", str(tmp_path / "nowhere"), "--out",
                      str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "{config}", "--run-dir", "r\0x"],
+        ["prepare", "{corpus}", "--out", "o\0"],
+        ["error-report", "--run", "r\0"],
+    ], ids=["train-run-dir", "prepare-out", "error-report-run"])
+    def test_nul_in_a_path_option_exits_1(self, tone_corpus, tmp_path, capsys, argv):
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = [arg.format(config=path, corpus=tone_corpus["corpus"]) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "NUL" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
     def test_bad_usage_exits_1(self, capsys):
         assert main(["train"]) == 1  # --config required
@@ -537,11 +574,14 @@ class TestTrainedRun:
                                                          capsys):
         run = tmp_path / "run"
         shutil.copytree(trained_run["run"], run)
-        _set_feature_key("append_energy", True)(run)
-        assert main(["evaluate", "--run", str(run)]) == 2
-        err = capsys.readouterr().err
-        assert "unknown config key 'append_energy' in feature_config" in err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        _record_before_the_rate(frame_length_s=0.025, frame_shift_s=0.01, n_mels=40)(run)
+        for argv in (["evaluate", "--run", str(run)],
+                     ["transcribe", "--run", str(run), str(trained_run["corpus"]["corpus"]
+                                                         / "wav" / "tone0000.wav")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "not a run record (lacks sample_rate)" in err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_evaluate_non_run_directory_exits_2(self, tmp_path, capsys):
         assert main(["evaluate", "--run", str(tmp_path)]) == 2
@@ -758,14 +798,14 @@ class TestTrainedRun:
         ("transcribe", _replace("run.json", b"{}")),
         ("evaluate", _remove("manifest.jsonl")),
         ("evaluate", _set_run_key("splits", 5)),
-        ("transcribe", _set_run_key("feature_config", 5)),
+        ("transcribe", _set_run_key("sample_rate", "16000")),
         ("evaluate", _edit_checkpoint_header(lambda h: h.pop("config"))),
         ("transcribe", _edit_checkpoint_header(
             lambda h: h["config"].update(input_dim="x"))),
         ("evaluate", _edit_checkpoint_header(lambda h: h["tensors"][0].pop("shape"))),
         ("evaluate", _edit_checkpoint_header(lambda h: h.update(vocabulary=5))),
         ("evaluate", _drop_from_manifest("train")),
-        ("transcribe", _set_run_key("feature_config", {"frame_shift_s": 0})),
+        ("transcribe", _set_run_key("sample_rate", 0)),
         ("evaluate", lambda run: _repeat_first_id(run / "manifest.jsonl")),
         ("evaluate", _set_run_key("variant", "bogus")),
         ("evaluate", _set_run_key("variant", "ipa-pause-boundaries")),
@@ -779,15 +819,15 @@ class TestTrainedRun:
         ("evaluate", _set_run_key("pause_gap_threshold", 10 ** 400)),
         ("evaluate", _make_dir("run.json")),
         ("error-report", _make_dir("report-test.json")),
-        ("evaluate", _set_feature_key("append_energy", True)),
-        ("transcribe", _set_feature_key("n_mels", 20)),
-        ("evaluate", _set_feature_key("sample_rate", 10 ** 400)),
-        ("transcribe", _set_feature_key("frame_length_s", 1e308)),
+        ("evaluate", _record_before_the_rate(append_energy=True)),
+        ("transcribe", _model_of_input_dim(63)),
+        ("evaluate", _set_run_key("sample_rate", 10 ** 400)),
+        ("transcribe", _set_run_key("sample_rate", 2000)),
         ("evaluate", _set_run_key("audio_root", "a\x00b")),
         ("error-report", _set_report_confusions(
             [{"ref": 1, "hyp": "a", "count": 1}, {"ref": "b", "hyp": "a", "count": 1}])),
         ("error-report", _set_report_confusions([{"ref": "b", "hyp": "a", "count": "x"}])),
-        ("evaluate", _set_feature_key("fmax", 8000.0)),
+        ("evaluate", _record_before_the_rate(fmax=8000.0)),
         ("evaluate", _set_manifest_span(1e305, 1e306)),
     ], ids=["evaluate-no-checkpoint", "transcribe-no-checkpoint",
             "evaluate-half-checkpoint", "evaluate-10-byte-checkpoint",
@@ -795,17 +835,17 @@ class TestTrainedRun:
             "error-report-truncated-report", "error-report-binary-report",
             "evaluate-list-run-json", "transcribe-empty-run-json",
             "evaluate-no-manifest", "evaluate-int-splits",
-            "transcribe-int-feature-config", "evaluate-header-without-config",
+            "transcribe-text-sample-rate", "evaluate-header-without-config",
             "transcribe-text-input-dim", "evaluate-tensor-without-shape",
             "evaluate-int-vocabulary", "evaluate-manifest-lacks-train-id",
-            "transcribe-zero-frame-shift", "evaluate-manifest-duplicate-id",
+            "transcribe-zero-sample-rate", "evaluate-manifest-duplicate-id",
             "evaluate-bogus-variant", "evaluate-pause-run-without-g2p",
             "evaluate-pause-run-without-words", "evaluate-container-version-1",
             "evaluate-vocabulary-without-blank", "evaluate-vocabulary-with-number",
             "evaluate-huge-pause-gap", "evaluate-run-json-is-a-directory",
             "error-report-report-is-a-directory", "evaluate-deleted-feature-switch",
             "transcribe-features-not-model-input", "evaluate-huge-sample-rate",
-            "transcribe-frame-length-beyond-float", "evaluate-nul-in-audio-root",
+            "transcribe-sample-rate-2000", "evaluate-nul-in-audio-root",
             "error-report-numeric-ref", "error-report-text-count",
             "evaluate-deleted-filterbank-band", "evaluate-span-far-beyond-audio"])
     def test_damaged_run_directory_exits_2(self, trained_run, tmp_path, capsys,
@@ -842,24 +882,19 @@ TARGETED_VALUES = NUL_TEXT | HUGE_INTEGERS | NESTED
 
 
 def _run_record_keys(trained_run):
-    """Every top-level run.json key, and every feature_config key."""
-    info = json.loads((trained_run["run"] / "run.json").read_text())
-    return ([(key,) for key in sorted(info)]
-            + [("feature_config", key) for key in sorted(info["feature_config"])])
+    """Every top-level run.json key."""
+    return sorted(json.loads((trained_run["run"] / "run.json").read_text()))
 
 
 class TestAnyRunRecordValue:
     @staticmethod
-    def check_exit_codes(trained_run, where, value):
-        # one top-level run.json value, or one feature_config entry, replaced
-        # by the value: each command exits 0, 1 or 2 without a traceback
+    def check_exit_codes(trained_run, key, value):
+        # one top-level run.json value replaced by the value: each command
+        # exits 0, 1 or 2 without a traceback
         with tempfile.TemporaryDirectory() as tmp:
             run = Path(tmp) / "run"
             shutil.copytree(trained_run["run"], run)
-            if len(where) == 1:
-                _set_run_key(where[0], value)(run)
-            else:
-                _set_feature_key(where[1], value)(run)
+            _set_run_key(key, value)(run)
             wav = Path(tmp) / "hush.wav"
             write_wav(wav, AudioBuffer(np.zeros(8000), 16000))
             for argv in (["evaluate", "--run", str(run), "--split", "dev"],
@@ -867,19 +902,62 @@ class TestAnyRunRecordValue:
                 err = io.StringIO()
                 with redirect_stdout(io.StringIO()), redirect_stderr(err):
                     code = main(argv)
-                assert code in (0, 1, 2), (argv[0], where, value, err.getvalue())
+                assert code in (0, 1, 2), (argv[0], key, value, err.getvalue())
                 assert "Traceback" not in err.getvalue()
 
     @settings(max_examples=50, deadline=None)
     @given(drawn=st.data(), value=JSON_VALUES | TARGETED_VALUES)
     def test_evaluate_and_transcribe_keep_the_exit_codes(self, trained_run, drawn, value):
-        where = drawn.draw(st.sampled_from(_run_record_keys(trained_run)), label="key")
-        self.check_exit_codes(trained_run, where, value)
+        key = drawn.draw(st.sampled_from(_run_record_keys(trained_run)), label="key")
+        self.check_exit_codes(trained_run, key, value)
 
     def test_every_key_takes_nul_huge_and_nested_values(self, trained_run):
-        for where in _run_record_keys(trained_run):
+        for key in _run_record_keys(trained_run):
             for value in ("tone\0", 10 ** 309, [{"a\0": [10 ** 309]}], {"": [[]]}):
-                self.check_exit_codes(trained_run, where, value)
+                self.check_exit_codes(trained_run, key, value)
+
+
+class TestSampleRateFromAudio:
+    @staticmethod
+    def prepared_config(tmp_path, sample_rate, n_utterances):
+        """A tone corpus at sample_rate, prepared, and a config for it
+        with no features section."""
+        corpus = tmp_path / "corpus"
+        generate_tone_corpus(corpus, n_utterances=n_utterances, seed=3,
+                             sample_rate=sample_rate)
+        assert main(["prepare", str(corpus), "--out", str(tmp_path / "prepared")]) == 0
+        config = {"schema_version": 1, "name": "x", "variant": "orig-no-spaces",
+                  "corpus": str(tmp_path / "prepared" / "manifest.jsonl"),
+                  "out_dir": str(tmp_path / "runs"),
+                  "train": {"max_epochs": 1, "patience": 1}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        return corpus, path
+
+    def test_8_khz_corpus_trains_and_its_run_rejects_16_khz_audio(self, tmp_path, capsys):
+        corpus, config = self.prepared_config(tmp_path, 8000, 30)
+        assert main(["train", "--config", str(config), "--fast"]) == 0
+        assert json.loads((tmp_path / "runs" / "x" / "run.json").read_text())[
+            "sample_rate"] == 8000
+        wide = tmp_path / "wide.wav"
+        write_wav(wide, AudioBuffer(np.zeros(16000), 16000))
+        narrow = corpus / "wav" / "tone0000.wav"
+        capsys.readouterr()
+        assert main(["transcribe", "--run", str(tmp_path / "runs" / "x"),
+                     str(wide), str(narrow)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {wide}") and captured.err.count("\n") == 1
+        assert "16000" in captured.err and "8000" in captured.err
+        assert captured.out.startswith(f"{narrow}\t")
+
+    def test_corpus_below_the_rate_floor_exits_2_before_any_run(self, tmp_path, capsys):
+        _, config = self.prepared_config(tmp_path, 2000, 6)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'data': sample rate 2000 Hz is too low")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestSubSeeds:

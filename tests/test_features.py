@@ -7,12 +7,13 @@ from tinyasr import features
 from tinyasr.audio import AudioBuffer
 from tinyasr.errors import ConfigError, DataError
 from tinyasr.features import (
-    FeatureConfig,
+    DIMS,
     append_deltas,
     build_mel_filterbank,
     extract_features,
     frame_count,
     frame_signal,
+    frame_sizes,
     hz_to_mel,
     mel_filterbank,
     normalize_cmvn,
@@ -126,13 +127,28 @@ class TestMelScale:
         out = mel_filterbank(np.zeros(33), bank)
         assert np.allclose(out, math.log(1e-10))
 
-    def test_n_mels_up_to_the_spectrum_bin_count_accepted(self):
-        config = FeatureConfig(n_mels=257)
-        assert config.nfft // 2 + 1 == 257
-        buf = AudioBuffer(np.random.default_rng(4).uniform(-0.3, 0.3, size=1600), 16000)
-        assert extract_features(buf, config).frames.shape[1] == 3 * 258
-        with pytest.raises(ConfigError, match="n_mels"):
-            FeatureConfig(n_mels=258)
+
+class TestFrameSizes:
+    @pytest.mark.parametrize("rate,sizes", [(8000, (200, 80, 256)),
+                                            (16000, (400, 160, 512)),
+                                            (44100, (1102, 441, 2048))])
+    def test_rates_whose_frames_hold_the_mel_bands(self, rate, sizes):
+        assert frame_sizes(rate) == sizes
+        buf = AudioBuffer(np.random.default_rng(4).uniform(-0.3, 0.3, size=rate // 10), rate)
+        assert extract_features(buf, rate).frames.shape == (
+            frame_count(rate // 10, *sizes[:2]), DIMS)
+
+    @pytest.mark.parametrize("rate", [2000, 0, -16000])
+    def test_rates_too_low_for_the_mel_bands(self, rate):
+        with pytest.raises(DataError, match=f"sample rate {rate} Hz is too low"):
+            frame_sizes(rate)
+
+    def test_floor_is_the_smallest_frame_of_n_mels_bins(self):
+        # 40 bands need a 128-point FFT (65 bins), so a frame of more than
+        # 64 samples: 25 ms at 2580 Hz is 64.5 samples, rounded to 64
+        with pytest.raises(DataError):
+            frame_sizes(2580)
+        assert frame_sizes(2581)[2] == 128
 
 
 class TestFraming:
@@ -194,18 +210,17 @@ class TestExtraction:
     def test_shapes_and_determinism(self):
         rng = np.random.default_rng(9)
         buf = AudioBuffer(rng.uniform(-0.3, 0.3, size=16000), 16000)
-        config = FeatureConfig()
-        a = extract_features(buf, config)
-        b = extract_features(buf, config)
-        assert a.frames.shape == (frame_count(16000, 400, 160), config.dims)
-        assert config.dims == 123
+        a = extract_features(buf, 16000)
+        b = extract_features(buf, 16000)
+        assert a.frames.shape == (frame_count(16000, 400, 160), DIMS)
+        assert DIMS == 123
         assert a.frames.tobytes() == b.frames.tobytes()
         assert np.all(np.isfinite(a.frames))
 
     def test_sample_rate_mismatch_is_error(self):
         buf = AudioBuffer(np.zeros(8000), 8000)
-        with pytest.raises(DataError, match="sample rate"):
-            extract_features(buf, FeatureConfig(sample_rate=16000))
+        with pytest.raises(DataError, match="sample rate 8000 does not match the run's 16000"):
+            extract_features(buf, 16000)
 
     def test_uses_the_checked_spectrum_functions(self, monkeypatch):
         # criterion 3 checks power_spectrum and mel_filterbank; extraction
@@ -223,5 +238,5 @@ class TestExtraction:
         for name in ("power_spectrum", "mel_filterbank"):
             monkeypatch.setattr(features, name, recording(name))
         buf = AudioBuffer(np.random.default_rng(12).uniform(-0.3, 0.3, 8000), 16000)
-        extract_features(buf, FeatureConfig())
+        extract_features(buf, 16000)
         assert calls == [("power_spectrum", 2), ("mel_filterbank", 2)]

@@ -241,8 +241,8 @@ class TestDecode:
     def test_batched_labels_equal_one_at_a_time(self, trained_run, beam_width):
         run = trained_run["run"]
         info = pipeline._read_run_info(run)
-        params, vocab, feature_config = pipeline._load_run_model(run, info)
-        items, _ = pipeline._load_split(run, info, "train", vocab, feature_config)
+        params, vocab = pipeline._load_run_model(run)
+        items, _ = pipeline._load_split(run, info, "train", vocab)
         feature_list = [item.features for item in items]
         assert len(feature_list) > model.DECODE_BATCH
         alone = [decode(params, [feats], beam_width)[0].labels for feats in feature_list]
