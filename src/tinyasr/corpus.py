@@ -43,6 +43,8 @@ _MIN_DURATION_MS = 400
 _MAX_DURATION_MS = 10000
 
 _MANIFEST_KEYS = ("id", "audio", "start_s", "end_s", "transcript", "speaker")
+# the keys whose values must be JSON strings; tier only where present
+_MANIFEST_TEXT_KEYS = ("id", "audio", "transcript", "speaker", "tier")
 
 # Characters normalized to ASCII space.
 INVISIBLE_SPACES = ("\u00a0", "\u200b", "\u202f")
@@ -355,9 +357,12 @@ def read_manifest(path) -> list:
         for key in _MANIFEST_KEYS:
             if key not in row:
                 raise DataError(f"{name} line {lineno}: missing key '{key}'")
+        for key in _MANIFEST_TEXT_KEYS:
+            if not isinstance(row.get(key, ""), str):
+                raise DataError(f"{name} line {lineno}: key '{key}' must be a JSON string")
         if row["id"] == "":
             raise DataError(f"{name} line {lineno}: empty utterance id")
-        utt_id = str(row["id"])
+        utt_id = row["id"]
         if first_line.setdefault(utt_id, lineno) != lineno:
             raise DataError(f"{name} line {lineno}: duplicate utterance id '{utt_id}' "
                             f"(first on line {first_line[utt_id]})")
@@ -370,11 +375,11 @@ def read_manifest(path) -> list:
             )
         records.append(UtteranceRecord(
             id=utt_id,
-            audio=str(row["audio"]),
+            audio=row["audio"],
             start_s=float(start_s),
             end_s=float(end_s),
-            transcript=str(row["transcript"]),
-            speaker=str(row["speaker"]) or str(row.get("tier", "")),
+            transcript=row["transcript"],
+            speaker=row["speaker"] or row.get("tier", ""),
         ))
     return records
 

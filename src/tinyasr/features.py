@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 PREEMPHASIS = 0.97
 LOG_FLOOR = 1e-10  # energies are floored here before the log
@@ -46,8 +46,6 @@ class FeatureMatrix:
 
 def preemphasize(x: np.ndarray, alpha: float) -> np.ndarray:
     """y[0] = x[0]; y[n] = x[n] - alpha * x[n-1]."""
-    if not 0.0 <= alpha < 1.0:
-        raise ConfigError(f"pre-emphasis coefficient {alpha} outside [0, 1)")
     return np.concatenate(([x[0]], x[1:] - alpha * x[:-1])) if len(x) else x.copy()
 
 
@@ -73,8 +71,6 @@ def frame_signal(samples: np.ndarray, frame_length: int, frame_shift: int) -> np
 def power_spectrum(frames: np.ndarray, nfft: int) -> np.ndarray:
     """|DFT(zero-padded frame)|^2 for bins 0 .. nfft/2, unscaled, of one
     frame or of each row of a frame matrix."""
-    if nfft < frames.shape[-1] or nfft & (nfft - 1):
-        raise ConfigError(f"nfft {nfft} must be a power of two >= frame length")
     return np.abs(np.fft.rfft(frames, n=nfft)) ** 2
 
 

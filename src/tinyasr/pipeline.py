@@ -35,8 +35,7 @@ RUN_FILE = "run.json"
 FAST_MODEL = {"num_layers": 2, "hidden_units": 64}
 # what evaluate and transcribe read back from a run record, by type
 _RUN_TYPES = {"experiment": str, "variant": str, "audio_root": str,
-              "pause_gap_threshold": float, "sample_rate": int, "splits": dict,
-              "subset": list | None}
+              "pause_gap_threshold": float, "sample_rate": int, "splits": dict}
 
 
 @contextmanager
@@ -91,15 +90,21 @@ def corpus_units(records, variant, g2p_path, alignments_path, gap_threshold):
 
 
 def build_items(records, unit_map, vocab, audio_root, sample_rate):
-    """Slice audio, extract features, and encode targets for each record."""
+    """Slice audio, extract features, and encode targets for each record;
+    a span or sample rate that does not fit its audio is a DataError naming
+    the utterance and its file."""
     audio_root = Path(audio_root)
     buffers = {}
     items = []
     for record in records:
+        path = audio_root / record.audio
         if record.audio not in buffers:
-            buffers[record.audio] = read_wav(audio_root / record.audio)
-        clip = slice_audio(buffers[record.audio], record.start_s, record.end_s)
-        matrix = extract_features(clip, sample_rate)
+            buffers[record.audio] = read_wav(path)
+        try:
+            clip = slice_audio(buffers[record.audio], record.start_s, record.end_s)
+            matrix = extract_features(clip, sample_rate)
+        except DataError as exc:
+            raise DataError(f"utterance '{record.id}' in {path}: {exc}") from exc
         target = vocab.encode(unit_map[record.id], record.id)
         items.append(TrainItem(id=record.id, features=matrix.frames, target=target))
     return items
@@ -140,7 +145,7 @@ def _load_corpus(config: ExperimentConfig) -> _Corpus:
     records = read_manifest(config.corpus)
     unit_map = corpus_units(records, config.variant, config.g2p_rules,
                             config.alignments, config.pause_gap_threshold)
-    splits = split_corpus(records, config.train)
+    splits = split_corpus(records, config.train.seed)
     audio_root = Path(config.corpus).resolve().parent
     sample_rate, _ = wav_info(audio_root / records[0].audio)
     frame_sizes(sample_rate)  # rejects a rate too low for the front end
@@ -189,7 +194,13 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         empty = [name for name, part in parts.items() if not part]
         if empty:
             raise DataError(f"empty split: {', '.join(empty)} (of {len(corpus.records)} "
-                            f"utterances; check the split ratios)")
+                            f"utterances; the 80/10/10 split fills train, dev and test "
+                            f"from 8 utterances on)")
+
+    with _stage("features"):
+        corpus.extract(train_records + corpus.dev + corpus.test)
+    train_items, dev_items, test_items = (
+        [corpus.items[r.id] for r in part] for part in (train_records, corpus.dev, corpus.test))
 
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(corpus.records, run_dir / "manifest.jsonl")
@@ -202,7 +213,6 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "schema_version": 1,
         "experiment": experiment_id,
         "variant": config.variant,
-        "seed": config.train.seed,
         "fast": fast,
         "audio_root": str(corpus.audio_root),
         "pause_gap_threshold": config.pause_gap_threshold,
@@ -213,11 +223,6 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "subset": sorted(subset_ids) if subset_ids is not None else None,
     }
     _write_run_info(run_dir, run_info)
-
-    with _stage("features"):
-        corpus.extract(train_records + corpus.dev + corpus.test)
-    train_items, dev_items, test_items = (
-        [corpus.items[r.id] for r in part] for part in (train_records, corpus.dev, corpus.test))
 
     with _stage("train"):
         result = train(train_items, dev_items, model_config, config.train, run_dir,
@@ -263,11 +268,10 @@ def _read_run_info(run_dir) -> dict:
         if info["variant"] not in VARIANTS:
             raise ConfigError(f"unknown transcript variant '{info['variant']}'")
         frame_sizes(info["sample_rate"])  # rejects a rate that cannot work
-        id_lists = [*info["splits"].values(), info["subset"] or []]
         if sorted(info["splits"]) != ["dev", "test", "train"] or not all(
                 isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-                for ids in id_lists):
-            raise ConfigError("splits and subset must list utterance ids")
+                for ids in info["splits"].values()):
+            raise ConfigError("splits must list utterance ids")
     except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: not a run record ({exc})") from exc
     return info
@@ -289,8 +293,7 @@ def _load_split(run_dir, run_info, split, vocab):
     if split not in run_info["splits"]:
         raise ConfigError(f"unknown split '{split}' (expected train, dev, or test)")
     records = {r.id: r for r in read_manifest(run_dir / "manifest.jsonl")}
-    listed = [*run_info["splits"].values(), run_info["subset"] or []]
-    missing = sorted({i for ids in listed for i in ids} - records.keys())
+    missing = sorted({i for ids in run_info["splits"].values() for i in ids} - records.keys())
     if missing:
         raise DataError(
             f"run manifest lacks {len(missing)} utterance(s) that {RUN_FILE} lists: "
@@ -329,8 +332,7 @@ def _report_split(run_dir, run_info, split, params, vocab, items, records,
         encoding="utf-8",
     )
 
-    train_ids = run_info["subset"] if run_info["subset"] is not None \
-        else run_info["splits"]["train"]
+    train_ids = run_info["splits"]["train"]
     minutes = sum(records[i].duration for i in train_ids) / 60.0
     row = ResultsRow(run_info["experiment"], len(train_ids), minutes, report.ler)
     return row, report

@@ -30,6 +30,11 @@ from .model import (
 # (2015), "Adam: A Method for Stochastic Optimization"
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
+# the global gradient norm is clipped to this, as in Pascanu et al. (2013),
+# "On the difficulty of training recurrent neural networks"
+GRAD_CLIP_NORM = 5.0
+# the train and dev shares of the corpus; test takes the rest
+SPLIT = (0.8, 0.1)
 
 
 def rng_for(seed: int, name: str, *extra) -> np.random.Generator:
@@ -45,37 +50,27 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 100
     patience: int = 10
-    grad_clip_norm: float = 5.0
     seed: int = 0
-    split_train: float = 0.8
-    split_dev: float = 0.1  # test takes the rest
 
     def __post_init__(self):
-        # written so that NaN fails
-        if not (self.split_train >= 0 and self.split_dev >= 0
-                and self.split_train + self.split_dev <= 1.0 + 1e-9):
-            raise ConfigError(f"split_train {self.split_train} and split_dev "
-                              f"{self.split_dev} must be nonnegative and sum to at most 1")
         if not 0 <= self.patience <= self.max_epochs:
             raise ConfigError("patience must lie in [0, max_epochs]")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.learning_rate < 0 or self.seed < 0:
             raise ConfigError("learning_rate and seed must be nonnegative")
-        if not self.grad_clip_norm >= 0:
-            raise ConfigError("grad_clip_norm must be nonnegative (0 turns clipping off)")
 
 
-def split_corpus(records, config: TrainConfig):
+def split_corpus(records, seed: int):
     """Deterministic shuffled split into (train, dev, test) under the
-    config's seed, each sorted by id. Train and dev land within one
-    utterance of their ratio * N; test gets the rest."""
+    seed, each sorted by id. Train and dev land within one utterance of
+    their SPLIT share of N; test gets the rest."""
     n = len(records)
     if n < 3:
         raise DataError(f"corpus of {n} utterances is too small to split")
-    order = rng_for(config.seed, "split").permutation(n)
-    n_train = round(config.split_train * n)
-    n_dev = min(round(config.split_dev * n), n - n_train)
+    order = rng_for(seed, "split").permutation(n)
+    n_train = round(SPLIT[0] * n)
+    n_dev = min(round(SPLIT[1] * n), n - n_train)
 
     def part(indices):
         return sorted((records[i] for i in indices), key=lambda r: r.id)
@@ -132,22 +127,22 @@ class AdamState:
     v: np.ndarray | float = 0.0
 
 
-def clip_global_norm(grads: ModelParameters, max_norm: float):
-    """The gradient vector scaled so its L2 norm is at most max_norm (0
-    never clips), and the norm before scaling."""
+def clip_global_norm(grads: ModelParameters):
+    """The gradient vector scaled so its L2 norm is at most GRAD_CLIP_NORM,
+    and the norm before scaling."""
     if not np.isfinite(grads.flat).all():
         name = next(n for n, grad in grads.tensors.items() if not np.isfinite(grad).all())
         raise TrainingError(f"non-finite gradient in tensor '{name}'")
     norm = np.sqrt(np.sum(grads.flat * grads.flat))
-    if max_norm > 0 and norm > max_norm:
-        return grads.flat * (max_norm / norm), norm
+    if norm > GRAD_CLIP_NORM:
+        return grads.flat * (GRAD_CLIP_NORM / norm), norm
     return grads.flat, norm
 
 
 def adam_step(params: ModelParameters, grads, state: AdamState, config: TrainConfig):
     """One Adam update with bias correction, clipping applied first.
     Returns fresh parameter and state objects (inputs are not mutated)."""
-    g, _ = clip_global_norm(grads, config.grad_clip_norm)
+    g, _ = clip_global_norm(grads)
     t = state.step + 1
     b1, b2 = ADAM_BETAS
     m = b1 * state.m + (1 - b1) * g
@@ -220,7 +215,6 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                 "train_loss": train_loss,
                 "dev_ler": dev_ler,
                 "seconds": round(time.monotonic() - started, 3),
-                "lr": train_config.learning_rate,
             }
             log.write(json.dumps(record) + "\n")
             log.flush()

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shutil
 import struct
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinyasr import config as config_module
 from tinyasr import pipeline
 from tinyasr.audio import AudioBuffer, write_wav
 from tinyasr.cli import main
@@ -21,6 +23,8 @@ from tinyasr.model import ModelConfig, init_parameters, load_checkpoint, save_ch
 from tinyasr.pipeline import ResultsRow, emit_results_table, evaluate_run
 from tinyasr.synthetic import generate_tone_corpus
 from tinyasr.training import rng_for
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _remove(name):
@@ -222,6 +226,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key 'split_test'"):
             parse_experiment_config(raw)
 
+    def test_readme_table_names_exactly_the_config_keys(self):
+        section = README.read_text(encoding="utf-8").split("## Experiment config\n")[1]
+        section = section.split("\n## ")[0]
+        named = set()
+        for key, default, meaning in re.findall(r"^\| `(\w+)` \|([^|]*)\|([^|]*)\|$",
+                                                section, re.M):
+            if default.strip():
+                named.add(key)
+            else:  # a section, whose row lists its keys with their defaults
+                named |= {f"{key}.{sub}" for sub in re.findall(r"`(\w+)` \(", meaning)}
+        accepted = {key for key in config_module._TOP_TYPES if key not in ("model", "train")}
+        accepted |= {f"model.{key}" for key in config_module._MODEL_TYPES}
+        accepted |= {f"train.{key}" for key in config_module._TRAIN_TYPES}
+        assert named == accepted
+        assert f"It sets\nat most {len(accepted)} values;" in section
+        for name in named - {"schema_version"}:
+            # a list is ill-typed for every key, so only an unknown key says so
+            raw = self.base()
+            *section_name, key = name.split(".")
+            (raw.setdefault(section_name[0], {}) if section_name else raw)[key] = []
+            with pytest.raises(ConfigError, match=f"ill-typed config key '{key}'"):
+                parse_experiment_config(raw)
+
+    @pytest.mark.parametrize("key", ["grad_clip_norm", "split_train", "split_dev"])
+    def test_clipping_and_split_are_no_longer_keys(self, tmp_path, capsys, key):
+        raw = {**self.base(), "out_dir": str(tmp_path / "runs"), "train": {key: 0.5}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config key '{key}' in train section\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_seed_is_the_train_seed(self):
         raw = self.base()
         raw["seed"] = 7
@@ -389,21 +426,24 @@ class TestExitCodes:
         assert name in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("ratios,empty", [
-        ((0.9, 0.1), "test"),
-        ((0.9, 0.0), "dev"),
-        ((0.0, 0.5), "train"),
-    ])
+    @pytest.mark.parametrize("n,empty", [(5, "dev"), (7, "test")])
     def test_empty_split_exits_2_before_any_run(self, tone_corpus, tmp_path, capsys,
-                                                ratios, empty):
-        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
-                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
-                  "train": dict(zip(("split_train", "split_dev"), ratios))}
+                                                n, empty):
+        # the first n utterances of the tone corpus, their audio by absolute path
+        manifest = tmp_path / "manifest.jsonl"
+        rows = [json.loads(line) for line in
+                tone_corpus["manifest"].read_text(encoding="utf-8").splitlines()[:n]]
+        manifest.write_text("".join(
+            json.dumps({**row, "audio": str(tone_corpus["prepared"] / row["audio"])}) + "\n"
+            for row in rows), encoding="utf-8")
+        config = {"schema_version": 1, "name": "x", "corpus": str(manifest),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["train", "--config", str(path), "--fast"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: stage 'data': empty split: " + empty)
+        assert err.startswith(f"error: stage 'data': empty split: {empty} (of {n} "
+                              f"utterances; ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
@@ -949,6 +989,30 @@ class TestSampleRateFromAudio:
         assert captured.err.startswith(f"error: {wide}") and captured.err.count("\n") == 1
         assert "16000" in captured.err and "8000" in captured.err
         assert captured.out.startswith(f"{narrow}\t")
+
+    @pytest.mark.parametrize("fault", ["16 kHz audio", "span past the end"])
+    def test_manifest_line_that_does_not_fit_its_audio_exits_2_before_any_run(
+            self, tmp_path, capsys, fault):
+        # the last line of a prepared 8 kHz manifest, edited by hand
+        _, config = self.prepared_config(tmp_path, 8000, 20)
+        manifest = tmp_path / "prepared" / "manifest.jsonl"
+        *rows, last = [json.loads(line) for line in manifest.read_text().splitlines()]
+        if fault == "16 kHz audio":
+            wide = tmp_path / "wide.wav"
+            write_wav(wide, AudioBuffer(np.zeros(16000 * 4), 16000))
+            last["audio"], shown = str(wide), "audio sample rate 16000 does not match"
+        else:
+            last["end_s"] += 5.0
+            shown = f"audio span [{last['start_s']}, {last['end_s']}] ends beyond buffer"
+        manifest.write_text("".join(json.dumps(row) + "\n" for row in [*rows, last]))
+        path = manifest.parent / last["audio"]
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage 'features': utterance '{last['id']}' in "
+                              f"{path}: {shown}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
     def test_corpus_below_the_rate_floor_exits_2_before_any_run(self, tmp_path, capsys):
         _, config = self.prepared_config(tmp_path, 2000, 6)

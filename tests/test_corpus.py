@@ -126,6 +126,19 @@ class TestManifestParsing:
         with pytest.raises(DataError, match="m.jsonl line 2"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("key", ["id", "audio", "transcript", "speaker", "tier"])
+    @pytest.mark.parametrize("value", [None, 7, ["a b", "c"], {"a": "b"}],
+                             ids=["null", "number", "list", "object"])
+    def test_text_key_that_is_not_a_string_names_line(self, tmp_path, key, value):
+        path = tmp_path / "m.jsonl"
+        row = {"id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,
+               "transcript": "ej", "speaker": "KP"}
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "id": "u2", key: value})
+                        + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"m.jsonl line 2: key '{key}' must be a JSON "
+                                            f"string"):
+            read_manifest(path)
+
     def test_empty_id_names_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
         row = {"id": "u1", "audio": "a.wav", "start_s": 0.0, "end_s": 1.0,

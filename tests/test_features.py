@@ -5,7 +5,7 @@ import pytest
 
 from tinyasr import features
 from tinyasr.audio import AudioBuffer
-from tinyasr.errors import ConfigError, DataError
+from tinyasr.errors import DataError
 from tinyasr.features import (
     DIMS,
     append_deltas,
@@ -50,10 +50,6 @@ class TestPreemphasis:
         buf = AudioBuffer(np.array([1.0, 0.0, 0.0]), 16000)
         out = preemphasize(buf.samples, 0.97)
         assert np.allclose(out, [1.0, -0.97, 0.0])
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ConfigError):
-            preemphasize(np.zeros(4), 1.0)
 
 
 class TestPowerSpectrum:
@@ -107,12 +103,6 @@ class TestPowerSpectrum:
         assert energies.shape == (7, 40)
         for row, spectrum in zip(energies, rows):
             assert np.allclose(row, mel_filterbank(spectrum, bank), rtol=1e-12, atol=0)
-
-    def test_nfft_must_be_pow2_and_cover_frame(self):
-        with pytest.raises(ConfigError):
-            power_spectrum(np.zeros(10), 8)
-        with pytest.raises(ConfigError):
-            power_spectrum(np.zeros(10), 12)
 
 
 class TestMelScale:
