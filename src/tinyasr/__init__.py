@@ -24,6 +24,7 @@ from .pipeline import (
     emit_results_table,
     evaluate_run,
     run_experiment,
+    train_experiment,
     transcribe_files,
 )
 from .training import TrainConfig, split_corpus, train

@@ -30,27 +30,31 @@ def _check_format(params, path):
         raise DataError(f"{path}: expected 16-bit PCM encoding")
 
 
-def wav_info(path):
-    """Return (sample_rate, n_samples) from the header, validating the format."""
-    try:
-        with wave.open(str(path), "rb") as wav:
-            params = wav.getparams()
-    except (wave.Error, EOFError, OSError, ValueError) as exc:  # ValueError: NUL in path
-        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
-    _check_format(params, path)
-    return params.framerate, params.nframes
-
-
-def read_wav(path) -> AudioBuffer:
+def _read(path, frames):
+    """The header's params, the format validated, and the raw PCM when
+    frames is set; a file wave cannot parse is a DataError."""
     try:
         with wave.open(str(path), "rb") as wav:
             params = wav.getparams()
             _check_format(params, path)
-            raw = wav.readframes(params.nframes)
-    except (wave.Error, EOFError, OSError, ValueError) as exc:  # ValueError: NUL in path
+            return params, wav.readframes(params.nframes) if frames else b""
+    # ValueError: NUL in path; RuntimeError: a chunk size past the file's end
+    except (wave.Error, EOFError, OSError, ValueError, RuntimeError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
-    return AudioBuffer(samples=samples, sample_rate=params.framerate)
+
+
+def wav_info(path):
+    """Return (sample_rate, n_samples) from the header, validating the format."""
+    params, _ = _read(path, False)
+    return params.framerate, params.nframes
+
+
+def read_wav(path) -> AudioBuffer:
+    params, raw = _read(path, True)
+    # a file cut inside its last sample loses that partial sample
+    samples = np.frombuffer(raw[:len(raw) // 2 * 2], dtype="<i2")
+    return AudioBuffer(samples=samples.astype(np.float64) / INT16_SCALE,
+                       sample_rate=params.framerate)
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:

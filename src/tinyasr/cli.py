@@ -19,7 +19,7 @@ from .pipeline import (
     emit_results_table,
     evaluate_run,
     relocate_audio_paths,
-    run_experiment,
+    train_experiment,
     transcribe_files,
 )
 
@@ -64,7 +64,7 @@ def _cmd_prepare(args) -> int:
 def _cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     run_dir = Path(args.run_dir) if args.run_dir else None
-    row = run_experiment(config, fast=args.fast, run_dir=run_dir)
+    row = train_experiment(config, fast=args.fast, run_dir=run_dir)
     print(emit_results_table([row]), end="")
     return 0
 

@@ -79,7 +79,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise ConfigError(f"{path.name}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path.name}: expected a JSON object")

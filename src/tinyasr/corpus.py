@@ -243,7 +243,7 @@ def read_json_lines(path):
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{name} line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(row, dict):
             raise DataError(f"{name} line {lineno}: expected a JSON object")

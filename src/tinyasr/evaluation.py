@@ -149,7 +149,7 @@ def report_from_json(text: str | bytes) -> EvaluationReport:
             utterances=payload["pairs"],
             confusions=confusions,
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"unreadable evaluation report: {exc!r}") from exc
 
 

@@ -323,7 +323,7 @@ def load_checkpoint(path):
             params = ModelParameters(config, np.fromfile(fh, dtype="<f8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, RecursionError) as exc:
         raise DataError(f"{path}: truncated or garbled ({exc})") from exc
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: not a checkpoint header ({exc!r})") from exc

@@ -10,7 +10,7 @@ import json
 import os
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .audio import read_wav, slice_audio, wav_info
@@ -50,7 +50,7 @@ def _stage(name):
 
 @dataclass
 class ResultsRow:
-    experiment_id: str
+    experiment: str
     utterances: int  # training utterances
     minutes: float  # training minutes of audio
     ler: float
@@ -62,7 +62,7 @@ def emit_results_table(rows) -> str:
     header = ("Experiment", "Utterances", "Minutes", "LER")
     lines = ["  ".join(header)]
     cells = [
-        (row.experiment_id, str(row.utterances), str(round(row.minutes)),
+        (row.experiment, str(row.utterances), str(round(row.minutes)),
          f"{row.ler:.3f}")
         for row in rows
     ]
@@ -113,8 +113,7 @@ def build_items(records, unit_map, vocab, audio_root, sample_rate):
 @dataclass
 class _Corpus:
     """A corpus read, encoded and split once per command; its first
-    utterance's audio sets the sample rate, and items holds the utterances
-    extracted so far, by id, so none is extracted twice."""
+    utterance's audio sets the sample rate."""
 
     records: list
     audio_root: Path
@@ -124,13 +123,12 @@ class _Corpus:
     train: list
     dev: list
     test: list
-    items: dict = field(default_factory=dict)
 
-    def extract(self, records) -> None:
-        todo = [r for r in records if r.id not in self.items]
-        for item in build_items(todo, self.unit_map, self.vocab, self.audio_root,
-                                self.sample_rate):
-            self.items[item.id] = item
+    def extract(self, records) -> dict:
+        """The records' TrainItems, by id."""
+        items = build_items(records, self.unit_map, self.vocab, self.audio_root,
+                            self.sample_rate)
+        return {item.id: item for item in items}
 
 
 def _load_corpus(config: ExperimentConfig) -> _Corpus:
@@ -149,6 +147,11 @@ def _load_corpus(config: ExperimentConfig) -> _Corpus:
     audio_root = Path(config.corpus).resolve().parent
     sample_rate, _ = wav_info(audio_root / records[0].audio)
     frame_sizes(sample_rate)  # rejects a rate too low for the front end
+    empty = [name for name, part in zip(("train", "dev", "test"), splits) if not part]
+    if empty:
+        raise DataError(f"empty split: {', '.join(empty)} (of {len(records)} "
+                        f"utterances; the 80/10/10 split fills train, dev and test "
+                        f"from 8 utterances on)")
     return _Corpus(records, audio_root, sample_rate, unit_map,
                    build_vocabulary(unit_map.values()), *splits)
 
@@ -156,51 +159,24 @@ def _load_corpus(config: ExperimentConfig) -> _Corpus:
 def _append_results(out_dir: Path, row: ResultsRow) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "experiment": row.experiment_id,
-            "utterances": row.utterances,
-            "minutes": row.minutes,
-            "ler": row.ler,
-        }) + "\n")
+        fh.write(json.dumps(asdict(row)) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
-                   run_dir=None, experiment_id=None, corpus=None) -> ResultsRow:
-    """End-to-end train and test-evaluate one experiment.
+def run_experiment(config: ExperimentConfig, fast, corpus: _Corpus, items,
+                   train_records, subset, run_dir: Path, experiment) -> ResultsRow:
+    """Train on train_records and test-evaluate one run, writing only run_dir.
 
-    subset_ids restricts the train split (dev/test stay identical); the
-    vocabulary always comes from the full corpus so subsets stay comparable.
-    corpus is the caller's _Corpus of this config, when it has one; its
-    extracted utterances are reused.
+    items holds the extracted utterances of train_records, dev and test, by
+    id; subset is what run.json records as the sweep subset (None for a run
+    on the whole train split). The vocabulary always comes from the full
+    corpus, so subsets stay comparable.
     """
-    experiment_id = experiment_id or config.name
-    run_dir = Path(run_dir) if run_dir is not None else config.out_dir / experiment_id
-
     with _stage("data"):
-        if corpus is None:
-            corpus = _load_corpus(config)
         model_config = ModelConfig(input_dim=DIMS, vocab_size=corpus.vocab.size - 1,
                                    **(FAST_MODEL if fast else config.model))
-        train_records = corpus.train
-        if subset_ids is not None:
-            chosen = set(subset_ids)
-            missing = chosen - {r.id for r in train_records}
-            if missing:
-                raise DataError(
-                    f"subset ids not in the train split: {sorted(missing)[:5]}"
-                )
-            train_records = [r for r in train_records if r.id in chosen]
-        parts = {"train": train_records, "dev": corpus.dev, "test": corpus.test}
-        empty = [name for name, part in parts.items() if not part]
-        if empty:
-            raise DataError(f"empty split: {', '.join(empty)} (of {len(corpus.records)} "
-                            f"utterances; the 80/10/10 split fills train, dev and test "
-                            f"from 8 utterances on)")
-
-    with _stage("features"):
-        corpus.extract(train_records + corpus.dev + corpus.test)
+    parts = {"train": train_records, "dev": corpus.dev, "test": corpus.test}
     train_items, dev_items, test_items = (
-        [corpus.items[r.id] for r in part] for part in (train_records, corpus.dev, corpus.test))
+        [items[r.id] for r in part] for part in parts.values())
 
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(corpus.records, run_dir / "manifest.jsonl")
@@ -211,7 +187,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
 
     run_info = {
         "schema_version": 1,
-        "experiment": experiment_id,
+        "experiment": experiment,
         "variant": config.variant,
         "fast": fast,
         "audio_root": str(corpus.audio_root),
@@ -220,7 +196,7 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "model": asdict(model_config),
         "train": asdict(config.train),
         "splits": {name: [r.id for r in part] for name, part in parts.items()},
-        "subset": sorted(subset_ids) if subset_ids is not None else None,
+        "subset": subset,
     }
     _write_run_info(run_dir, run_info)
 
@@ -240,6 +216,19 @@ def run_experiment(config: ExperimentConfig, fast=False, subset_ids=None,
         "best_epoch": result.best_epoch,
     }
     _write_run_info(run_dir, run_info)
+    return row
+
+
+def train_experiment(config: ExperimentConfig, fast=False, run_dir=None) -> ResultsRow:
+    """Train and test-evaluate the config's experiment on the whole train
+    split, in run_dir (default out_dir/name), and append its results row."""
+    with _stage("data"):
+        corpus = _load_corpus(config)
+    with _stage("features"):
+        items = corpus.extract(corpus.train + corpus.dev + corpus.test)
+    run_dir = Path(run_dir) if run_dir is not None else config.out_dir / config.name
+    row = run_experiment(config, fast, corpus, items, corpus.train, None, run_dir,
+                         config.name)
     _append_results(config.out_dir, row)
     return row
 
@@ -258,7 +247,7 @@ def _read_run_info(run_dir) -> dict:
         raise DataError(f"not a run directory (no {RUN_FILE}): {run_dir}")
     try:
         info = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"{path}: unreadable ({exc})") from exc
     missing = [key for key in _RUN_TYPES if not isinstance(info, dict) or key not in info]
     if missing:
@@ -354,8 +343,8 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
 
     Subsets come from one seeded shuffle, so each smaller subset is
     contained in every larger one; dev and test stay identical throughout.
-    The corpus is read once, and each utterance that some size uses is
-    extracted once.
+    The corpus is read once, each utterance that some size uses is
+    extracted once, and each size's results row is appended after its run.
     """
     sizes = list(sizes)
     if not sizes or any(type(s) is not int or s < 1 for s in sizes) \
@@ -372,20 +361,16 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
     shuffled = rng_for(config.train.seed, "subset").permutation(len(corpus.train))
     ordered = [corpus.train[i] for i in shuffled]
     with _stage("features"):
-        corpus.extract(ordered[:sizes[-1]] + corpus.dev + corpus.test)
+        items = corpus.extract(ordered[:sizes[-1]] + corpus.dev + corpus.test)
 
     rows = []
     for size in sizes:
-        rows.append(
-            run_experiment(
-                config,
-                fast=fast,
-                subset_ids=[r.id for r in ordered[:size]],
-                run_dir=config.out_dir / f"{config.name}-n{size}",
-                experiment_id=f"{config.name}-n{size}",
-                corpus=corpus,
-            )
-        )
+        chosen = {r.id for r in ordered[:size]}
+        experiment = f"{config.name}-n{size}"
+        rows.append(run_experiment(config, fast, corpus, items,
+                                   [r for r in corpus.train if r.id in chosen],
+                                   sorted(chosen), config.out_dir / experiment, experiment))
+        _append_results(config.out_dir, rows[-1])
     return rows
 
 

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tinyasr.audio import AudioBuffer, read_wav, slice_audio, wav_info, write_wav
 from tinyasr.errors import DataError
@@ -75,3 +80,37 @@ def test_slice_rejects_span_beyond_buffer():
 def test_slice_far_beyond_buffer_is_data_error():
     with pytest.raises(DataError, match="ends beyond buffer"):
         slice_audio(make_buffer(seconds=1.0), 1e305, 1e306)
+
+
+def test_cut_inside_a_sample_reads_like_a_cut_between(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(path, make_buffer(seconds=0.1))
+    data = path.read_bytes()
+    path.write_bytes(data[:1001])
+    inside = read_wav(path)
+    path.write_bytes(data[:1000])
+    assert np.array_equal(inside.samples, read_wav(path).samples)
+    assert len(inside.samples) == (1000 - 44) // 2
+
+
+class TestAnyDamagedHeader:
+    # bytes set within the first 64, then the file cut at some length or kept
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)),
+                          min_size=1, max_size=4),
+           cut=st.none() | st.integers(0, 2000))
+    @example(edits=[(17, 1)], cut=None)  # fmt chunk size past the end of the file
+    @example(edits=[(0, ord("R"))], cut=1001)  # cut inside the last sample
+    def test_wav_info_and_read_wav_raise_only_data_errors(self, edits, cut):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.wav"
+            write_wav(path, make_buffer(seconds=0.05))
+            data = bytearray(path.read_bytes())
+            for index, value in edits:
+                data[index] = value
+            path.write_bytes(bytes(data if cut is None else data[:cut]))
+            for reader in (wav_info, read_wav):
+                try:
+                    reader(path)
+                except DataError:
+                    pass

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -426,9 +427,13 @@ class TestExitCodes:
         assert name in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("n,empty", [(5, "dev"), (7, "test")])
+    @pytest.mark.parametrize("n,empty,command", [
+        pytest.param(5, "dev", ["train"], id="5-dev"),
+        pytest.param(7, "test", ["train"], id="7-test"),
+        pytest.param(5, "dev", ["sweep", "--sizes", "1"], id="5-dev-sweep"),
+        pytest.param(7, "test", ["sweep", "--sizes", "1"], id="7-test-sweep")])
     def test_empty_split_exits_2_before_any_run(self, tone_corpus, tmp_path, capsys,
-                                                n, empty):
+                                                n, empty, command):
         # the first n utterances of the tone corpus, their audio by absolute path
         manifest = tmp_path / "manifest.jsonl"
         rows = [json.loads(line) for line in
@@ -440,7 +445,7 @@ class TestExitCodes:
                   "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(path), "--fast"]) == 2
+        assert main([*command, "--config", str(path), "--fast"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage 'data': empty split: {empty} (of {n} "
                               f"utterances; ")
@@ -784,6 +789,50 @@ class TestTrainedRun:
         assert swept["ler"] == full["ler"]
         assert swept["utterances"] == full["utterances"]
 
+    def test_train_and_whole_split_sweep_train_the_same_model(self, tone_corpus,
+                                                              tmp_path):
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
+                  "seed": 3, "model": {"num_layers": 1, "hidden_units": 8},
+                  "train": {"max_epochs": 2, "patience": 2, "batch_size": 16}}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path)]) == 0
+        trained = tmp_path / "runs" / "x"
+        n_train = len(json.loads((trained / "run.json").read_text())["splits"]["train"])
+        assert main(["sweep", "--config", str(path), "--sizes", str(n_train)]) == 0
+        swept = tmp_path / "runs" / f"x-n{n_train}"
+
+        def epochs(run):
+            rows = [json.loads(l) for l in (run / "epochs.jsonl").read_text().splitlines()]
+            return [{k: v for k, v in row.items() if k != "seconds"} for row in rows]
+
+        def sha256(run):
+            return hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest()
+
+        assert sha256(trained) == sha256(swept)
+        assert (trained / "report-test.json").read_bytes() == (
+            swept / "report-test.json").read_bytes()
+        assert epochs(trained) == epochs(swept)
+        results = (tmp_path / "runs" / "results.jsonl").read_text().splitlines()
+        assert [json.loads(l)["experiment"] for l in results] == ["x", f"x-n{n_train}"]
+
+    def test_run_experiment_writes_only_its_run_directory(self, tone_corpus, tmp_path):
+        config = parse_experiment_config({
+            "schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+            "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
+            "model": {"num_layers": 1, "hidden_units": 8},
+            "train": {"max_epochs": 1, "patience": 1, "batch_size": 16}})
+        corpus = pipeline._load_corpus(config)
+        items = corpus.extract(corpus.train[:4] + corpus.dev + corpus.test)
+        run = tmp_path / "elsewhere" / "run"
+        row = pipeline.run_experiment(config, True, corpus, items, corpus.train[:4],
+                                      None, run, "four")
+        assert (row.experiment, row.utterances) == ("four", 4)
+        assert not (tmp_path / "runs").exists()
+        assert [p.name for p in (tmp_path / "elsewhere").iterdir()] == ["run"]
+        assert json.loads((run / "run.json").read_text())["results"]["ler"] == row.ler
+
     @pytest.mark.parametrize("sizes", ["a,b", "-30", "0,10", "10,10"])
     def test_sweep_sizes_not_positive_counts_exit_1(self, trained_run, capsys, sizes):
         rc = main(["sweep", "--config", str(trained_run["config"]), "--sizes", sizes])
@@ -955,6 +1004,84 @@ class TestAnyRunRecordValue:
         for key in _run_record_keys(trained_run):
             for value in ("tone\0", 10 ** 309, [{"a\0": [10 ** 309]}], {"": [[]]}):
                 self.check_exit_codes(trained_run, key, value)
+
+
+# JSON nested deeper than the parser's recursion limit
+TOO_DEEP = "[" * 200000 + "]" * 200000
+
+
+class TestJsonNestedTooDeep:
+    @staticmethod
+    def _nest_checkpoint_header(run):
+        data = (run / "checkpoint.bin").read_bytes()
+        version, length = struct.unpack("<II", data[8:16])
+        (run / "checkpoint.bin").write_bytes(
+            data[:8] + struct.pack("<II", version, len(TOO_DEEP)) + TOO_DEEP.encode()
+            + data[16 + length:])
+
+    @pytest.mark.parametrize("target,command,code,named", [
+        ("config", "train", 1, "c.json"),
+        ("corpus manifest", "prepare", 2, "utterances.jsonl line 1"),
+        ("run manifest", "evaluate", 2, "manifest.jsonl line 1"),
+        ("run.json", "evaluate", 2, "run.json"),
+        ("checkpoint header", "transcribe", 2, "checkpoint.bin"),
+        ("report", "error-report", 2, "evaluation report")])
+    def test_exits_with_one_error_line(self, trained_run, tmp_path, capsys, target,
+                                       command, code, named):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        if target == "config":
+            (tmp_path / "c.json").write_text(TOO_DEEP)
+            argv = ["train", "--config", str(tmp_path / "c.json")]
+        elif target == "corpus manifest":
+            (tmp_path / "corpus").mkdir()
+            (tmp_path / "corpus" / "utterances.jsonl").write_text(TOO_DEEP + "\n")
+            argv = ["prepare", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")]
+        else:
+            if target == "checkpoint header":
+                self._nest_checkpoint_header(run)
+            else:
+                name = {"run manifest": "manifest.jsonl", "report": "report-test.json"}
+                (run / name.get(target, target)).write_text(TOO_DEEP + "\n")
+            argv = [command, "--run", str(run)]
+            if command == "transcribe":
+                wav = tmp_path / "hush.wav"
+                write_wav(wav, AudioBuffer(np.zeros(16000), 16000))
+                argv.append(str(wav))
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
+
+class TestDamagedWav:
+    @pytest.mark.parametrize("fmt_size_byte", [1, 173, 255])
+    def test_transcribe_fmt_chunk_past_the_end_exits_2(self, trained_run, tmp_path,
+                                                        capsys, fmt_size_byte):
+        data = (trained_run["corpus"]["corpus"] / "wav" / "tone0000.wav").read_bytes()
+        good, bad = tmp_path / "good.wav", tmp_path / "bad.wav"
+        good.write_bytes(data)
+        # header byte 17 is the second byte of the fmt chunk size
+        bad.write_bytes(data[:17] + bytes([fmt_size_byte]) + data[18:])
+        assert main(["transcribe", "--run", str(trained_run["run"]),
+                     str(bad), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: not a readable WAV file")
+        assert captured.err.count("\n") == 1
+        assert captured.out.startswith(f"{good}\t")
+
+    def test_transcribe_cut_inside_a_sample_reads_like_a_cut_between(
+            self, trained_run, tmp_path, capsys):
+        data = (trained_run["corpus"]["corpus"] / "wav" / "tone0000.wav").read_bytes()
+        inside, between = tmp_path / "inside.wav", tmp_path / "between.wav"
+        cut = len(data) // 2 | 1  # odd: inside a 2-byte sample, as the header is 44 bytes
+        inside.write_bytes(data[:cut])
+        between.write_bytes(data[:cut - 1])
+        assert main(["transcribe", "--run", str(trained_run["run"]),
+                     str(inside), str(between)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in lines] == [str(inside), str(between)]
+        assert lines[0].split("\t")[1:] == lines[1].split("\t")[1:]
 
 
 class TestSampleRateFromAudio:
