@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .audio import AudioBuffer, read_wav, slice_audio, write_wav
 from .corpus import (
-    CorpusManifest,
     UtteranceRecord,
     clean_transcript,
     filter_duration,

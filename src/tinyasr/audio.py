@@ -9,6 +9,11 @@ import numpy as np
 from .errors import DataError
 
 INT16_SCALE = 32768.0
+# wave raises these without a message
+_SILENT_ERRORS = {
+    EOFError: "the file ends inside its header",
+    RuntimeError: "a chunk size runs past the end of the file",
+}
 
 
 @dataclass
@@ -40,7 +45,8 @@ def _read(path, frames):
             return params, wav.readframes(params.nframes) if frames else b""
     # ValueError: NUL in path; RuntimeError: a chunk size past the file's end
     except (wave.Error, EOFError, OSError, ValueError, RuntimeError) as exc:
-        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+        reason = str(exc) or _SILENT_ERRORS.get(type(exc), type(exc).__name__)
+        raise DataError(f"{path}: not a readable WAV file ({reason})") from exc
 
 
 def wav_info(path):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 config error or an output that cannot be written,
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .pipeline import (
     augmentation_sweep,
     emit_results_table,
     evaluate_run,
-    relocate_audio_paths,
     train_experiment,
     transcribe_files,
 )
@@ -48,14 +48,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_prepare(args) -> int:
     out_dir = Path(args.out)
-    manifest, rejections = prepare_corpus_dir(args.corpus_dir, tier=args.tier)
+    records, rejections, sample_rate = prepare_corpus_dir(args.corpus_dir, tier=args.tier)
     out_dir.mkdir(parents=True, exist_ok=True)
-    relocate_audio_paths(manifest.records, args.corpus_dir, out_dir)
-    write_manifest(manifest.records, out_dir / "manifest.jsonl")
+    # the manifest names each WAV relative to its own directory; resolving
+    # only the directories keeps a symlinked WAV's own name
+    corpus_dir, manifest_dir = Path(args.corpus_dir).resolve(), out_dir.resolve()
+    for record in records:
+        record.audio = os.path.relpath(corpus_dir / record.audio, manifest_dir)
+    write_manifest(records, out_dir / "manifest.jsonl")
     write_rejections(rejections, out_dir / "rejections.jsonl")
-    table = stats_table(manifest.stats)
+    table = stats_table(records, rejections)
     (out_dir / "stats.txt").write_text(table, encoding="utf-8")
-    print(f"sample rate: {manifest.sample_rate} Hz")
+    print(f"sample rate: {sample_rate} Hz")
     print(table, end="")
     print(f"manifest: {out_dir / 'manifest.jsonl'}")
     return 0
@@ -112,7 +116,7 @@ def _cmd_error_report(args) -> int:
     except OSError as exc:
         raise DataError(f"no readable report for split '{args.split}' in {args.run} "
                         f"({exc.strerror}; run evaluate first)") from exc
-    report = report_from_json(data)
+    report = report_from_json(data, report_path)
     print(confusion_report(report, args.top_k), end="")
     return 0
 
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("error-report", help="print the confusion table of a run")
     p.add_argument("--run", type=_path, required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=("train", "dev", "test"))
     p.add_argument("--top-k", type=int, default=20)
     p.set_defaults(func=_cmd_error_report)
     return parser

@@ -12,7 +12,8 @@ import math
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .audio import wav_info
@@ -72,23 +73,6 @@ class UtteranceRecord:
     @property
     def duration(self) -> float:
         return self.end_s - self.start_s
-
-
-@dataclass
-class CorpusStats:
-    total: int = 0
-    kept: int = 0
-    dropped: dict = field(default_factory=dict)
-
-    def drop(self, reason: str) -> None:
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
-
-
-@dataclass
-class CorpusManifest:
-    records: list
-    sample_rate: int
-    stats: CorpusStats
 
 
 def _is_cyrillic(ch: str) -> bool:
@@ -253,10 +237,9 @@ def read_json_lines(path):
 def build_corpus(records):
     """Apply cleaning and duration rules to uncleaned records.
 
-    Returns (records, rejections, stats); rejections are {id, reason} dicts.
-    kept + sum(dropped per reason) always equals len(records).
+    Returns (kept, rejections); rejections are {id, reason} dicts, and
+    each input record is in exactly one of the two.
     """
-    stats = CorpusStats(total=len(records))
     kept, rejections = [], []
     seen_ids = set()
     for record in records:
@@ -268,17 +251,15 @@ def build_corpus(records):
         if reason is None:
             reason = filter_duration(record.end_s - record.start_s)
         if reason is not None:
-            stats.drop(reason)
             rejections.append({"id": record.id, "reason": reason})
             continue
         kept.append(replace(record, transcript=cleaned))
-        stats.kept += 1
-    return kept, rejections, stats
+    return kept, rejections
 
 
 def prepare_corpus_dir(corpus_dir, tier=None):
     """Ingest a corpus directory of EAF files (with same-stem WAVs) and/or
-    JSON-lines manifests, returning (CorpusManifest, rejections).
+    JSON-lines manifests, returning (records, rejections, sample_rate).
 
     All audio must share one sample rate; spans must lie inside their file.
     Record audio paths are stored relative to corpus_dir.
@@ -300,7 +281,7 @@ def prepare_corpus_dir(corpus_dir, tier=None):
     if not annotations:
         raise DataError(f"no annotations found under {corpus_dir}")
 
-    records, rejections, stats = build_corpus(annotations)
+    records, rejections = build_corpus(annotations)
 
     sample_rate = None
     durations = {}
@@ -325,7 +306,7 @@ def prepare_corpus_dir(corpus_dir, tier=None):
     if sample_rate is None:
         raise DataError(f"no utterances kept from {corpus_dir}")
 
-    return CorpusManifest(records=records, sample_rate=sample_rate, stats=stats), rejections
+    return records, rejections, sample_rate
 
 
 def manifest_line(record: UtteranceRecord) -> str:
@@ -390,10 +371,12 @@ def write_rejections(rejections, path) -> None:
             fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-def stats_table(stats: CorpusStats) -> str:
-    """Render kept/dropped counts as a plain text table."""
-    lines = ["reason            count", "kept              %5d" % stats.kept]
+def stats_table(kept, rejections) -> str:
+    """Render the kept count and the rejections per reason as a plain
+    text table."""
+    dropped = Counter(entry["reason"] for entry in rejections)
+    lines = ["reason            count", "kept              %5d" % len(kept)]
     for reason in REJECTION_REASONS:
-        lines.append("%-17s %5d" % (reason, stats.dropped.get(reason, 0)))
-    lines.append("total             %5d" % stats.total)
+        lines.append("%-17s %5d" % (reason, dropped[reason]))
+    lines.append("total             %5d" % (len(kept) + len(rejections)))
     return "\n".join(lines) + "\n"

@@ -128,10 +128,10 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
-def report_from_json(text: str | bytes) -> EvaluationReport:
+def report_from_json(text: str | bytes, path) -> EvaluationReport:
     """Inverse of report_to_json; a garbled or incomplete report, or a
     confusion whose labels are not strings or null or whose count is not an
-    integer, is a DataError."""
+    integer, is a DataError naming path."""
     try:
         payload = json.loads(text)
         confusions = Counter()
@@ -150,7 +150,7 @@ def report_from_json(text: str | bytes) -> EvaluationReport:
             confusions=confusions,
         )
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise DataError(f"unreadable evaluation report: {exc!r}") from exc
+        raise DataError(f"{path}: unreadable evaluation report ({exc!r})") from exc
 
 
 def confusion_report(report: EvaluationReport, top_k: int) -> str:

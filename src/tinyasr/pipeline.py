@@ -7,7 +7,6 @@ evaluation can be reproduced from the directory alone (plus the audio).
 """
 
 import json
-import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -407,12 +406,3 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
         outputs.append((str(wav_path), text, None))
     return outputs
 
-
-def relocate_audio_paths(records, corpus_dir, out_dir):
-    """Rewrite record audio paths relative to out_dir (used by prepare so
-    the emitted manifest resolves audio from its own location)."""
-    corpus_dir = Path(corpus_dir).resolve()
-    out_dir = Path(out_dir).resolve()
-    for record in records:
-        record.audio = os.path.relpath(corpus_dir / record.audio, out_dir)
-    return records

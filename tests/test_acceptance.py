@@ -8,6 +8,7 @@ The end-to-end criteria share one 300-utterance synthetic tone corpus.
 import itertools
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -231,12 +232,12 @@ def test_criterion_4_edit_distance_oracle():
 
 
 def test_criterion_5_preprocessing_golden_fixtures(golden_corpus):
-    manifest, rejections = prepare_corpus_dir(golden_corpus)
-    got = [(r.id, r.start_s, r.end_s, r.transcript) for r in manifest.records]
+    records, rejections, _ = prepare_corpus_dir(golden_corpus)
+    got = [(r.id, r.start_s, r.end_s, r.transcript) for r in records]
     assert got == EXPECTED_KEPT
-    assert manifest.stats.dropped == EXPECTED_DROPS
-    assert manifest.stats.kept + sum(manifest.stats.dropped.values()) \
-        == manifest.stats.total == 11
+    assert Counter(r["reason"] for r in rejections) == EXPECTED_DROPS
+    assert len(records) == 4
+    assert len(records) + len(rejections) == 11
     assert len(rejections) == 7
     print("\nPASS criterion 5: golden corpus produced the expected manifest "
           "and per-reason drop counts")
@@ -327,8 +328,7 @@ def test_criterion_9_variant_consistency(synthetic300, golden_corpus):
             records = read_manifest(synthetic300["prepared"] / "manifest.jsonl")
             alignments = load_alignments(synthetic300["corpus"] / "words.jsonl")
         else:
-            manifest, _ = prepare_corpus_dir(golden_corpus)
-            records = manifest.records
+            records, _, _ = prepare_corpus_dir(golden_corpus)
             alignments = load_alignments(golden_corpus / "words.jsonl")
         for record in records:
             words = record.transcript.split(" ")

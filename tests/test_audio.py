@@ -93,6 +93,22 @@ def test_cut_inside_a_sample_reads_like_a_cut_between(tmp_path):
     assert len(inside.samples) == (1000 - 44) // 2
 
 
+@pytest.mark.parametrize("empty,reason", [
+    pytest.param(False, "a chunk size runs past the end of the file", id="fmt-size-173"),
+    pytest.param(True, "the file ends inside its header", id="empty")])
+@pytest.mark.parametrize("reader", [read_wav, wav_info])
+def test_error_without_a_message_still_gives_a_reason(tmp_path, reader, empty, reason):
+    # wave raises a bare RuntimeError or EOFError for these two
+    path = tmp_path / "x.wav"
+    write_wav(path, make_buffer(seconds=0.05))
+    data = path.read_bytes()
+    # header byte 17 is the second byte of the fmt chunk size
+    path.write_bytes(b"" if empty else data[:17] + bytes([173]) + data[18:])
+    with pytest.raises(DataError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: not a readable WAV file ({reason})"
+
+
 class TestAnyDamagedHeader:
     # bytes set within the first 64, then the file cut at some length or kept
     @settings(max_examples=200, deadline=None)

@@ -475,21 +475,23 @@ class TestExitCodes:
                      str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--config", "{config}", "--run-dir", "r\0x"],
-        ["prepare", "{corpus}", "--out", "o\0"],
-        ["error-report", "--run", "r\0"],
-    ], ids=["train-run-dir", "prepare-out", "error-report-run"])
-    def test_nul_in_a_path_option_exits_1(self, tone_corpus, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,named", [
+        (["train", "--config", "{config}", "--run-dir", "r\0x"], "NUL"),
+        (["prepare", "{corpus}", "--out", "o\0"], "NUL"),
+        (["error-report", "--run", "r\0"], "NUL"),
+        (["error-report", "--run", "{tmp}", "--split", "a\0b"], "invalid choice"),
+    ], ids=["train-run-dir", "prepare-out", "error-report-run", "error-report-split"])
+    def test_nul_in_a_path_option_exits_1(self, tone_corpus, tmp_path, capsys, argv, named):
         config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
                   "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
-        argv = [arg.format(config=path, corpus=tone_corpus["corpus"]) for arg in argv]
+        argv = [arg.format(config=path, corpus=tone_corpus["corpus"], tmp=tmp_path)
+                for arg in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "NUL" in err and "Traceback" not in err
+        assert named in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
     def test_bad_usage_exits_1(self, capsys):
@@ -512,7 +514,39 @@ class TestExitCodes:
         assert "stage 'data'" in capsys.readouterr().err
 
 
+# what prepare writes for the golden corpus
+GOLDEN_STATS = """\
+reason            count
+kept                  4
+empty                 1
+punctuation-only      1
+contains-digit        1
+contains-cyrillic     1
+unclear-marker        1
+too-short             1
+too-long              1
+total                11
+"""
+GOLDEN_REJECTIONS = """\
+{"id": "session_a1", "reason": "too-long"}
+{"id": "session_a2", "reason": "too-short"}
+{"id": "session_a3", "reason": "empty"}
+{"id": "session_a4", "reason": "punctuation-only"}
+{"id": "session_a5", "reason": "contains-digit"}
+{"id": "session_a6", "reason": "contains-cyrillic"}
+{"id": "session_a7", "reason": "unclear-marker"}
+"""
+
+
 class TestPrepareCommand:
+    def test_golden_outputs_byte_for_byte(self, golden_corpus, tmp_path, capsys):
+        out = tmp_path / "prepared"
+        assert main(["prepare", str(golden_corpus), "--out", str(out)]) == 0
+        assert (out / "stats.txt").read_bytes() == GOLDEN_STATS.encode()
+        assert (out / "rejections.jsonl").read_bytes() == GOLDEN_REJECTIONS.encode()
+        assert capsys.readouterr().out == (f"sample rate: 16000 Hz\n{GOLDEN_STATS}"
+                                           f"manifest: {out / 'manifest.jsonl'}\n")
+
     def test_outputs_written(self, golden_corpus, tmp_path, capsys):
         out = tmp_path / "prepared"
         assert main(["prepare", str(golden_corpus), "--out", str(out)]) == 0
@@ -1006,6 +1040,35 @@ class TestAnyRunRecordValue:
                 self.check_exit_codes(trained_run, key, value)
 
 
+VALID_MANIFEST_LINE = json.dumps({"id": "u1", "audio": "a.wav", "start_s": 0.25,
+                                  "end_s": 1.0, "transcript": "ej ku?pi",
+                                  "speaker": "KP"}).encode()
+
+
+class TestAnyDamagedManifestLine:
+    # bytes of a valid corpus manifest line set, then the line cut at some
+    # length or kept: prepare exits 0 or 2 with at most one error line
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(VALID_MANIFEST_LINE) - 1),
+                                    st.integers(0, 255)), min_size=1, max_size=4),
+           cut=st.none() | st.integers(0, len(VALID_MANIFEST_LINE)))
+    def test_prepare_keeps_the_exit_codes(self, edits, cut):
+        line = bytearray(VALID_MANIFEST_LINE)
+        for index, value in edits:
+            line[index] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus"
+            corpus.mkdir()
+            write_wav(corpus / "a.wav", AudioBuffer(np.zeros(16000), 16000))
+            (corpus / "utterances.jsonl").write_bytes(
+                bytes(line if cut is None else line[:cut]) + b"\n")
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["prepare", str(corpus), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2), (bytes(line), err.getvalue())
+        assert err.getvalue().count("error: ") <= 1 and "Traceback" not in err.getvalue()
+
+
 # JSON nested deeper than the parser's recursion limit
 TOO_DEEP = "[" * 200000 + "]" * 200000
 
@@ -1025,7 +1088,7 @@ class TestJsonNestedTooDeep:
         ("run manifest", "evaluate", 2, "manifest.jsonl line 1"),
         ("run.json", "evaluate", 2, "run.json"),
         ("checkpoint header", "transcribe", 2, "checkpoint.bin"),
-        ("report", "error-report", 2, "evaluation report")])
+        ("report", "error-report", 2, "report-test.json")])
     def test_exits_with_one_error_line(self, trained_run, tmp_path, capsys, target,
                                        command, code, named):
         run = tmp_path / "run"

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -254,10 +255,9 @@ class TestBuildCorpus:
         ]
 
     def test_counts_balance(self):
-        records, rejections, stats = build_corpus(self.annotations())
-        assert stats.total == 3
-        assert stats.kept == len(records) == 1
-        assert stats.kept + sum(stats.dropped.values()) == stats.total
+        records, rejections = build_corpus(self.annotations())
+        assert len(records) == 1
+        assert len(records) + len(rejections) == 3
         assert {r["reason"] for r in rejections} == {"too-short", "punctuation-only"}
 
     def test_duplicate_ids_rejected(self):
@@ -267,7 +267,7 @@ class TestBuildCorpus:
             build_corpus(anns)
 
     def test_kept_records_pass_filters_again(self):
-        records, _, _ = build_corpus(self.annotations())
+        records, _ = build_corpus(self.annotations())
         for record in records:
             text, reason = clean_transcript(record.transcript)
             assert reason is None and text == record.transcript
@@ -276,21 +276,21 @@ class TestBuildCorpus:
 
 class TestGoldenCorpus:
     def test_expected_manifest_and_drop_counts(self, golden_corpus):
-        manifest, rejections = prepare_corpus_dir(golden_corpus)
-        got = [(r.id, r.start_s, r.end_s, r.transcript) for r in manifest.records]
+        records, rejections, sample_rate = prepare_corpus_dir(golden_corpus)
+        got = [(r.id, r.start_s, r.end_s, r.transcript) for r in records]
         assert got == EXPECTED_KEPT
-        assert manifest.stats.dropped == EXPECTED_DROPS
-        assert manifest.stats.total == 11
-        assert manifest.stats.kept == 4
-        assert manifest.sample_rate == 16000
-        assert all(r.speaker == "KP" for r in manifest.records)
+        assert Counter(r["reason"] for r in rejections) == EXPECTED_DROPS
+        assert len(records) + len(rejections) == 11
+        assert len(records) == 4
+        assert sample_rate == 16000
+        assert all(r.speaker == "KP" for r in records)
         reasons = {r["id"]: r["reason"] for r in rejections}
         assert reasons["session_a1"] == "too-long"
         assert reasons["session_a7"] == "unclear-marker"
 
     def test_stats_table_lists_every_reason(self, golden_corpus):
-        manifest, _ = prepare_corpus_dir(golden_corpus)
-        table = stats_table(manifest.stats)
+        records, rejections, _ = prepare_corpus_dir(golden_corpus)
+        table = stats_table(records, rejections)
         for reason in EXPECTED_DROPS:
             assert reason in table
         assert "kept" in table and "total" in table
@@ -298,17 +298,17 @@ class TestGoldenCorpus:
 
 class TestManifestRoundTrip:
     def test_byte_identical(self, golden_corpus, tmp_path):
-        manifest, _ = prepare_corpus_dir(golden_corpus)
+        records, _, _ = prepare_corpus_dir(golden_corpus)
         first = tmp_path / "manifest.jsonl"
-        write_manifest(manifest.records, first)
+        write_manifest(records, first)
         records = read_manifest(first)
         second = tmp_path / "again.jsonl"
         write_manifest(records, second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_manifest_line_is_one_json_object(self, golden_corpus):
-        manifest, _ = prepare_corpus_dir(golden_corpus)
-        row = json.loads(manifest_line(manifest.records[0]))
+        records, _, _ = prepare_corpus_dir(golden_corpus)
+        row = json.loads(manifest_line(records[0]))
         assert row["id"] == "session_a8"
         assert row["duration_s"] == pytest.approx(1.0)
 

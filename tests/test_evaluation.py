@@ -136,7 +136,7 @@ class TestReport:
 
     def test_json_round_trip(self):
         report = build_report(self.entries(), "greedy")
-        back = report_from_json(report_to_json(report))
+        back = report_from_json(report_to_json(report), "report-test.json")
         assert back.ler == report.ler
         assert back.confusions == report.confusions
         assert back.decoder == "greedy"

@@ -179,16 +179,16 @@ class TestPauseBoundaries:
             load_alignments(path)
 
     def test_threshold_zero_equals_with_spaces(self, golden_corpus):
-        manifest, _ = prepare_corpus_dir(golden_corpus)
+        records, _, _ = prepare_corpus_dir(golden_corpus)
         alignments = load_alignments(golden_corpus / "words.jsonl")
-        for record in manifest.records:
+        for record in records:
             words = record.transcript.split(" ")
             assert pause_boundaries(words, alignments[record.id], 0.0) == record.transcript
 
     def test_huge_threshold_equals_no_spaces(self, golden_corpus):
-        manifest, _ = prepare_corpus_dir(golden_corpus)
+        records, _, _ = prepare_corpus_dir(golden_corpus)
         alignments = load_alignments(golden_corpus / "words.jsonl")
-        for record in manifest.records:
+        for record in records:
             words = record.transcript.split(" ")
             joined = pause_boundaries(words, alignments[record.id], float("inf"))
             assert joined == strip_spaces(record.transcript)

@@ -2,15 +2,18 @@
 
     python tools/reference_runs.py OUT_DIR
 
-Generates the 60-utterance tone corpus (seed 3) under OUT_DIR and, for the
-variants orig-no-spaces and ipa-pause-boundaries (pause gap 0.05 s), runs
-`sweep --fast --sizes 10,20,40` and then `train --fast`, with seed 7 and
-max_epochs = patience = 3, at one BLAS thread. Each of the 8 runs is then
-evaluated on dev and test, greedy and with beam 8, and transcribes
-tone0000-tone0005 both ways; those outputs are kept under
-OUT_DIR/evaluations and OUT_DIR/transcripts. Each run's run.json (without
-audio_root, the absolute corpus path) and epochs.jsonl (without the
-wall-clock seconds) are kept under OUT_DIR/records.
+Generates the 60-utterance tone corpus (seed 3) under OUT_DIR and runs
+`prepare` on it into OUT_DIR/records/prepare, which keeps the manifest.jsonl,
+rejections.jsonl and stats.txt it writes and its standard output
+(stdout.txt, without OUT_DIR). Training reads corpus/utterances.jsonl, not
+that manifest. For the variants orig-no-spaces and ipa-pause-boundaries
+(pause gap 0.05 s), it runs `sweep --fast --sizes 10,20,40` and then
+`train --fast`, with seed 7 and max_epochs = patience = 3, at one BLAS
+thread. Each of the 8 runs is then evaluated on dev and test, greedy and
+with beam 8, and transcribes tone0000-tone0005 both ways; those outputs are
+kept under OUT_DIR/evaluations and OUT_DIR/transcripts. Each run's run.json
+(without audio_root, the absolute corpus path) and epochs.jsonl (without
+the wall-clock seconds) are kept under OUT_DIR/records.
 
 Prints one line per run: its name, the sha256 of its checkpoint.bin, the
 test LER, best_dev_ler and best_epoch, and writes the same lines to
@@ -110,6 +113,10 @@ def check_run(out_dir: Path, run: Path) -> str:
 def reference_runs(out_dir: Path) -> None:
     out_dir.mkdir(parents=True)
     generate_tone_corpus(out_dir / "corpus", n_utterances=60, seed=3)
+    prepared = out_dir / "records" / "prepare"
+    text = tinyasr("prepare", str(out_dir / "corpus"), "--out", str(prepared))
+    (prepared / "stdout.txt").write_text(text.replace(str(out_dir) + os.sep, ""),
+                                         encoding="utf-8")
     (out_dir / "transcripts").mkdir()
     with open(out_dir / "summary.tsv", "w", encoding="utf-8") as summary:
         for variant in VARIANTS:
