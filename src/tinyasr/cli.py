@@ -24,12 +24,21 @@ from .pipeline import (
 )
 
 
-def _beam_width(text) -> int:
-    """Type of --beam: a whole number of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"beam width must be a whole number >= 1, "
+def _whole_number(text, minimum, what) -> int:
+    if not text.isdecimal() or int(text) < minimum:
+        raise argparse.ArgumentTypeError(f"{what} must be a whole number >= {minimum}, "
                                          f"got {text!r}")
     return int(text)
+
+
+def _beam_width(text) -> int:
+    """Type of --beam: a whole number of at least 1."""
+    return _whole_number(text, 1, "beam width")
+
+
+def _top_k(text) -> int:
+    """Type of --top-k: a whole number of at least 0."""
+    return _whole_number(text, 0, "top-k")
 
 
 def _path(text) -> str:
@@ -169,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("error-report", help="print the confusion table of a run")
     p.add_argument("--run", type=_path, required=True)
     p.add_argument("--split", default="test", choices=("train", "dev", "test"))
-    p.add_argument("--top-k", type=int, default=20)
+    p.add_argument("--top-k", type=_top_k, default=20)
     p.set_defaults(func=_cmd_error_report)
     return parser
 

@@ -2,10 +2,13 @@
 
 Forward and backward passes are implemented directly in numpy (float64),
 with exact backpropagation through time. The two directions of a layer run
-in one time loop, stacked on a leading axis of 2. Batches are padded to the
-longest utterance; the backward direction reverses each row within its true
-length so padding always sits at the processing tail and never touches
-valid frames, in either pass.
+in one time loop, stacked on a leading axis of 2. A batch's rows are sorted
+by length, shortest first, and padded to the longest; the backward direction
+reverses each row within its true length, so padding always sits at the
+processing tail. Each time step then runs only the rows still inside their
+length (at least two), a suffix of the batch shared by both directions, so
+padding costs next to no recurrence work and never touches valid frames, in
+either pass.
 """
 
 import json
@@ -108,22 +111,29 @@ def _reverse_padded(x, lengths):
 class ForwardCache:
     """Everything the backward pass needs, tied to the parameters used.
 
-    Per layer, a tuple (xs, gates, cs, hs) with a leading axis of 2 for the
-    fwd and bwd directions, each in its own processing order: the layer
-    inputs (2, B, T, D), the gate activations i, f, g, o (2, B, T, 4H), and
-    the cell and hidden states (2, B, T + 1, H). Slot 0 of cs and hs holds
-    the zero initial state; step t writes slot t + 1."""
+    Rows are in length order: row r holds input order[r], of lengths[r]
+    frames, and step t ran rows starts[t]: (see forward_batch). Per layer,
+    a tuple (xs, gates, cs, hs) with a leading axis of 2 for the fwd and bwd
+    directions, each in its own processing order: the layer inputs
+    (2, B, T, D), the gate activations i, f, g, o (2, B, T, 4H), and the
+    cell and hidden states (2, B, T + 1, H). Slot 0 of cs and hs holds the
+    zero initial state; step t writes slot t + 1 of the rows it ran. A slot
+    no step wrote keeps the zero state in cs and hs, and in gates its input
+    projection alone."""
 
-    def __init__(self, params, lengths):
+    def __init__(self, params, order, lengths, starts):
         self.params = params
+        self.order = order
         self.lengths = lengths
+        self.starts = starts
         self.layers = []
         self.top = None
 
 
-def _layer_forward(params, layer, x, lengths):
-    """Both directions of one layer in a single time loop. Returns the
-    layer output (B, T, 2H), padded tails zeroed, and its cache entry."""
+def _layer_forward(params, layer, x, lengths, starts):
+    """Both directions of one layer in a single time loop; step t runs rows
+    starts[t]: only. Returns the layer output (B, T, 2H), padded tails
+    zeroed, and its cache entry."""
     Wt = params[f"layer{layer}.W"].transpose(0, 2, 1)
     # a step's product with a transposed view of R runs about twice as slow
     Rt = np.ascontiguousarray(params[f"layer{layer}.R"].transpose(0, 2, 1))
@@ -135,13 +145,13 @@ def _layer_forward(params, layer, x, lengths):
     gates = (xs.reshape(2, B * T, D) @ Wt).reshape(2, B, T, 4 * H)
     cs = np.zeros((2, B, T + 1, H))
     hs = np.zeros((2, B, T + 1, H))
-    for t in range(T):
-        z = gates[:, :, t]
-        z[...] = z + hs[:, :, t] @ Rt + b
+    for t, s in enumerate(starts):
+        z = gates[:, s:, t]
+        z[...] = z + hs[:, s:, t] @ Rt + b
         gi, gf, gg, go = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
         gi[...], gf[...], gg[...], go[...] = _sigmoid(gi), _sigmoid(gf), np.tanh(gg), _sigmoid(go)
-        cs[:, :, t + 1] = gf * cs[:, :, t] + gi * gg
-        hs[:, :, t + 1] = go * np.tanh(cs[:, :, t + 1])
+        cs[:, s:, t + 1] = gf * cs[:, s:, t] + gi * gg
+        hs[:, s:, t + 1] = go * np.tanh(cs[:, s:, t + 1])
 
     out = np.concatenate([hs[0, :, 1:], _reverse_padded(hs[1, :, 1:], lengths)], axis=2)
     for b_idx, length in enumerate(lengths):
@@ -152,12 +162,13 @@ def _layer_forward(params, layer, x, lengths):
 def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
     """Run the stack over a batch of (T_i, D) arrays.
 
-    Returns ([logits (T_i, V+1)], cache). The cache, which backward_batch
-    reads, holds every layer's arrays; without keep_cache it is None and
-    each layer's arrays are freed once the next layer has its input.
+    Returns ([logits (T_i, V+1)], cache), the logits in input order. The
+    rows run stable-sorted by length, so a sorted list runs as given. The
+    cache, which backward_batch reads, holds every layer's arrays; without
+    keep_cache it is None and each layer's arrays are freed once the next
+    layer has its input.
     """
     config = params.config
-    lengths = []
     for feats in feature_list:
         if feats.ndim != 2 or feats.shape[1] != config.input_dim:
             raise DataError(
@@ -166,16 +177,22 @@ def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
             )
         if feats.shape[0] < 1:
             raise DataError("empty feature matrix")
-        lengths.append(feats.shape[0])
 
-    B, T = len(feature_list), max(lengths)
+    order = sorted(range(len(feature_list)), key=lambda i: len(feature_list[i]))
+    lengths = [len(feature_list[i]) for i in order]
+    B, T = len(order), lengths[-1]
     x = np.zeros((B, T, config.input_dim))
-    for b, feats in enumerate(feature_list):
-        x[b, :lengths[b]] = feats
+    for row, i in enumerate(order):
+        x[row, :lengths[row]] = feature_list[i]
+    # step t runs rows starts[t]:, those still inside their length, but never
+    # fewer than two: numpy multiplies a single row by another path, which
+    # rounds differently. An extra row runs on its padding, which is dropped.
+    starts = np.minimum(np.searchsorted(lengths, np.arange(T), side="right"),
+                        max(B - 2, 0)).tolist()
 
-    cache = ForwardCache(params, lengths) if keep_cache else None
+    cache = ForwardCache(params, order, lengths, starts) if keep_cache else None
     for layer in range(config.num_layers):
-        x, layer_cache = _layer_forward(params, layer, x, lengths)
+        x, layer_cache = _layer_forward(params, layer, x, lengths, starts)
         if cache is not None:
             cache.layers.append(layer_cache)
         del layer_cache  # else it would live on through the next layer's call
@@ -183,7 +200,10 @@ def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
     if cache is not None:
         cache.top = x
     logits = x @ params["proj.W"].T + params["proj.b"]
-    return [logits[b, :lengths[b]] for b in range(B)], cache
+    out = [None] * B
+    for row, i in enumerate(order):
+        out[i] = logits[row, :lengths[row]]
+    return out, cache
 
 
 def decode(params: ModelParameters, feature_list, beam_width=None):
@@ -217,30 +237,34 @@ def decode(params: ModelParameters, feature_list, beam_width=None):
     return decoded
 
 
-def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
+def _layer_backward(params, layer, layer_cache, d_out, lengths, starts, grads):
     """Backpropagate both directions of one layer through time in a single
-    loop; writes the layer's gradients into grads, returns d(layer input)."""
+    loop; writes the layer's gradients into grads, returns d(layer input).
+    Step t runs the rows its forward step ran, starts[t]:; the gate
+    gradients and carried state of the rows it skips stay exactly zero."""
     R = params[f"layer{layer}.R"]
     xs, gates, cs, hs = layer_cache
     _, B, T, D = xs.shape
     H = R.shape[2]
     dhs = np.stack([d_out[..., :H], _reverse_padded(d_out[..., H:], lengths)])
 
-    dz = np.empty_like(gates)
-    dh_next = dc_next = np.zeros((2, B, H))
+    dz = np.zeros_like(gates)
+    dh_next = np.zeros((2, B, H))
+    dc_next = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
-        g = gates[:, :, t]
+        s = starts[t]
+        g = gates[:, s:, t]
         gi, gf, gg, go = g[..., :H], g[..., H:2 * H], g[..., 2 * H:3 * H], g[..., 3 * H:]
-        tc = np.tanh(cs[:, :, t + 1])
-        dh = dhs[:, :, t] + dh_next
-        dc = dh * go * (1.0 - tc * tc) + dc_next
-        dzt = dz[:, :, t]
+        tc = np.tanh(cs[:, s:, t + 1])
+        dh = dhs[:, s:, t] + dh_next[:, s:]
+        dc = dh * go * (1.0 - tc * tc) + dc_next[:, s:]
+        dzt = dz[:, s:, t]
         dzt[..., :H] = dc * gg * gi * (1.0 - gi)
-        dzt[..., H:2 * H] = dc * cs[:, :, t] * gf * (1.0 - gf)
+        dzt[..., H:2 * H] = dc * cs[:, s:, t] * gf * (1.0 - gf)
         dzt[..., 2 * H:3 * H] = dc * gi * (1.0 - gg * gg)
         dzt[..., 3 * H:] = dh * tc * go * (1.0 - go)
-        dh_next = dzt @ R
-        dc_next = dc * gf
+        dh_next[:, s:] = dzt @ R
+        dc_next[:, s:] = dc * gf
 
     dz = dz.reshape(2, B * T, 4 * H)
     np.matmul(dz.transpose(0, 2, 1), xs.reshape(2, B * T, D), out=grads[f"layer{layer}.W"])
@@ -255,7 +279,8 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, grads):
 
 def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
     """Exact gradients of a scalar loss w.r.t. every parameter, given the
-    loss gradient on each utterance's logits, as a ModelParameters."""
+    loss gradient on each utterance's logits, in forward_batch's input
+    order, as a ModelParameters."""
     if cache.params is not params:
         raise ValueError("forward cache does not belong to these parameters")
     if len(dlogits_list) != len(cache.lengths):
@@ -265,10 +290,11 @@ def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
     B, T = len(cache.lengths), cache.top.shape[1]
     K = config.output_dim
     dlogits = np.zeros((B, T, K))
-    for b, (dl, length) in enumerate(zip(dlogits_list, cache.lengths)):
+    for row, (i, length) in enumerate(zip(cache.order, cache.lengths)):
+        dl = dlogits_list[i]
         if dl.shape != (length, K):
             raise ValueError(f"logits gradient {dl.shape} does not match ({length}, {K})")
-        dlogits[b, :length] = dl
+        dlogits[row, :length] = dl
 
     grads = ModelParameters(config)
     flat_dl = dlogits.reshape(-1, K)
@@ -277,7 +303,8 @@ def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
 
     dx = dlogits @ params["proj.W"]
     for layer in range(config.num_layers - 1, -1, -1):
-        dx = _layer_backward(params, layer, cache.layers[layer], dx, cache.lengths, grads)
+        dx = _layer_backward(params, layer, cache.layers[layer], dx, cache.lengths,
+                             cache.starts, grads)
     return grads
 
 

@@ -667,11 +667,21 @@ class TestTrainedRun:
         assert "run.json" in capsys.readouterr().err
 
     def test_error_report_command(self, trained_run, capsys):
+        for top_k in ("5", "0"):
+            assert main(["error-report", "--run", str(trained_run["run"]),
+                         "--top-k", top_k]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"top {top_k} confusion pairs")
+            assert "deletions per label" in out
+
+    @pytest.mark.parametrize("top_k", ["-5", "x", "1.5"], ids=["negative", "text", "fraction"])
+    def test_error_report_top_k_below_0_exits_1(self, trained_run, capsys, top_k):
         assert main(["error-report", "--run", str(trained_run["run"]),
-                     "--top-k", "5"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("top 5 confusion pairs")
-        assert "deletions per label" in out
+                     "--top-k", top_k]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "top-k must be a whole number >= 0" in captured.err
+        assert captured.out == ""
 
     def test_transcribe_memorized_training_utterance(self, trained_run, capsys):
         run = trained_run["run"]

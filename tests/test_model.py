@@ -32,12 +32,13 @@ def tiny_config(rng):
     )
 
 
-def scalar_loss(params, feats, weights):
-    (logits,), _ = forward_batch(params, [feats])
-    return float((logits * weights).sum())
+def scalar_loss(params, feature_list, weight_list):
+    logits_list, _ = forward_batch(params, feature_list)
+    return float(sum((logits * weights).sum()
+                     for logits, weights in zip(logits_list, weight_list)))
 
 
-def finite_difference(params, feats, weights, name, h=1e-6):
+def finite_difference(params, feature_list, weight_list, name, h=1e-6):
     tensor = params.tensors[name]
     fd = np.zeros_like(tensor)
     it = np.nditer(tensor, flags=["multi_index"])
@@ -45,9 +46,9 @@ def finite_difference(params, feats, weights, name, h=1e-6):
         idx = it.multi_index
         orig = tensor[idx]
         tensor[idx] = orig + h
-        up = scalar_loss(params, feats, weights)
+        up = scalar_loss(params, feature_list, weight_list)
         tensor[idx] = orig - h
-        down = scalar_loss(params, feats, weights)
+        down = scalar_loss(params, feature_list, weight_list)
         tensor[idx] = orig
         fd[idx] = (up - down) / (2 * h)
         it.iternext()
@@ -190,6 +191,34 @@ class TestForward:
             (single,), _ = forward_batch(params, [f])
             assert np.allclose(single, lb, atol=1e-12)
 
+    def test_logits_do_not_depend_on_batch_mates(self):
+        # a step runs at least two rows: numpy multiplies a single row by
+        # another path, which rounds differently at this size
+        rng = np.random.default_rng(18)
+        config = ModelConfig(input_dim=4, vocab_size=3, num_layers=2, hidden_units=64)
+        params = init_parameters(config, 8)
+        long = rng.normal(size=(60, 4))
+        (with_copy, _), _ = forward_batch(params, [long, long])
+        for mate_lengths in ((5,), (3, 30)):
+            mates = [rng.normal(size=(t, 4)) for t in mate_lengths]
+            logits, _ = forward_batch(params, [long] + mates)
+            assert np.array_equal(logits[0], with_copy), mate_lengths
+
+    def test_input_order_does_not_change_bits(self):
+        rng = np.random.default_rng(19)
+        config = ModelConfig(input_dim=4, vocab_size=3, num_layers=2, hidden_units=8)
+        params = init_parameters(config, 9)
+        lengths = (9, 3, 14, 6, 1)
+        feats = [rng.normal(size=(t, 4)) for t in lengths]
+        weights = [rng.normal(size=(t, config.output_dim)) for t in lengths]
+        logits, cache = forward_batch(params, feats)
+        grads = backward_batch(params, cache, weights)
+        perm = [3, 0, 4, 2, 1]
+        shuffled, cache = forward_batch(params, [feats[i] for i in perm])
+        assert all(np.array_equal(shuffled[k], logits[i]) for k, i in enumerate(perm))
+        assert np.array_equal(backward_batch(params, cache, [weights[i] for i in perm]).flat,
+                              grads.flat)
+
 
 class TestDecode:
     @pytest.fixture
@@ -280,11 +309,27 @@ class TestBackward:
             (logits,), cache = forward_batch(params, [feats])
             grads = backward_batch(params, cache, [weights])
             for name in params.tensors:
-                fd = finite_difference(params, feats, weights, name)
+                fd = finite_difference(params, [feats], [weights], name)
                 scale = max(np.abs(grads[name]).max(), np.abs(fd).max(), 1e-8)
                 err = np.abs(grads[name] - fd).max() / scale
                 worst = max(worst, err)
         assert worst < 1e-4
+
+    def test_mixed_length_batch_matches_finite_differences(self):
+        # rows leave the time loop at different steps, one after its first
+        # frame, and the last steps run a row on its padding
+        rng = np.random.default_rng(17)
+        config = ModelConfig(input_dim=2, vocab_size=2, num_layers=2, hidden_units=3)
+        params = init_parameters(config, 6)
+        lengths = (4, 1, 6, 2)
+        feats = [rng.normal(size=(t, 2)) for t in lengths]
+        weights = [rng.normal(size=(t, config.output_dim)) for t in lengths]
+        _, cache = forward_batch(params, feats)
+        grads = backward_batch(params, cache, weights)
+        for name in params.tensors:
+            fd = finite_difference(params, feats, weights, name)
+            scale = max(np.abs(grads[name]).max(), np.abs(fd).max(), 1e-8)
+            assert np.abs(grads[name] - fd).max() / scale < 1e-4, name
 
     def test_zero_upstream_gradient_gives_zero_grads(self):
         rng = np.random.default_rng(14)
