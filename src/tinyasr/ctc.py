@@ -1,7 +1,13 @@
 """Connectionist temporal classification: loss, exact logits gradient,
 and greedy / prefix-beam decoding.
 
-All recursions run in log space. Blank is always label index 0.
+All recursions run in log space. Blank is always label index 0. There is
+one recursion, _log_alpha, over a padded batch of rows. The loss takes a
+whole training batch and runs the forward and the backward variables as
+one stack of rows, the backward ones as the forward recursion on each row
+reversed within its length; beam search scores a sequence as a batch of
+one. Padding never reaches a row's own values, so each row's loss and
+gradient are bit-identical to that row run alone.
 """
 
 from collections import defaultdict
@@ -57,64 +63,102 @@ def _extended(target):
     return ext
 
 
-def _log_alpha(lp, ext):
-    """Log-space forward variables (T, S) of the blank-extended target
-    ext under the per-frame log-probabilities lp. alpha[t, s] includes the
-    emission at t. Run on both sequences reversed, it gives the backward
-    variables, reversed."""
-    T, S = lp.shape[0], len(ext)
-    emit = lp[:, ext]  # (T, S)
+def reverse_padded(x, lengths):
+    """Reverse each row within its true length; padding stays at the tail."""
+    out = np.zeros_like(x)
+    for b, length in enumerate(lengths):
+        out[b, :length] = x[b, length - 1::-1]
+    return out
+
+
+def _log_alpha(lp, ext, frames, ext_lengths):
+    """Log-space forward variables (B, T, S) of each row's blank-extended
+    target ext[b] under its per-frame log-probabilities lp[b] (B, T, K);
+    row b holds frames[b] frames and ext_lengths[b] extended-target slots.
+    alpha[b, t, s] includes the emission at t, and is -inf in the padded
+    frames and slots. Run on each row reversed within its lengths, it gives
+    the backward variables, reversed."""
+    B, T, S = lp.shape[0], lp.shape[1], ext.shape[1]
+    emit = np.take_along_axis(lp, ext[:, None, :], axis=2)  # (B, T, S)
+    valid = ((np.arange(T)[None, :, None] < np.asarray(frames)[:, None, None])
+             & (np.arange(S)[None, None, :] < np.asarray(ext_lengths)[:, None, None]))
+    emit = np.where(valid, emit, NEG_INF)
 
     # skip transition s-2 -> s exists unless it would jump over a needed
     # blank (same label on both sides) or land on a blank
-    can_skip = np.zeros(S, dtype=bool)
-    if S > 2:
-        can_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    can_skip = np.zeros((B, S), dtype=bool)
+    can_skip[:, 2:] = (ext[:, 2:] != BLANK_ID) & (ext[:, 2:] != ext[:, :-2])
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
+    # two leading -inf columns stand for the slots before s = 0, so
+    # columns [2:], [1:-1] and [:-2] of a step are s, s-1 and s-2
+    padded = np.full((B, T, S + 2), NEG_INF)
+    alpha = padded[:, :, 2:]
+    alpha[:, 0, :2] = emit[:, 0, :2]
     for t in range(1, T):
-        prev = alpha[t - 1]
-        shift1 = np.concatenate(([NEG_INF], prev[:-1]))
-        shift2 = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-        shift2 = np.where(can_skip, shift2, NEG_INF)
-        alpha[t] = np.logaddexp(np.logaddexp(prev, shift1), shift2) + emit[t]
+        prev, now = padded[:, t - 1], alpha[:, t]
+        np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=now)
+        np.logaddexp(now, np.where(can_skip, prev[:, :-2], NEG_INF), out=now)
+        now += emit[:, t]
     return alpha
 
 
-def ctc_loss(logits, target) -> CTCResult:
-    """Negative log-likelihood of the target under the logits, with the
-    exact gradient, via the log-space forward-backward recursion over the
-    blank-extended target."""
-    logits = np.asarray(logits, dtype=np.float64)
-    T, K = logits.shape
-    target = list(target)
-    for label in target:
-        if not 0 < label < K:
-            raise DataError(f"target label {label} outside [1, {K - 1}]")
-    need = min_frames(target)
-    if T < need:
-        raise DataError(
-            f"CTC-infeasible target: {T} frames cannot emit {len(target)} labels "
-            f"(needs at least {need})"
-        )
+def ctc_loss(logits_list, targets) -> list:
+    """Negative log-likelihood of each target under its (T_b, K) logits,
+    with the exact gradient, via the log-space forward-backward recursion
+    over the blank-extended targets. Returns one CTCResult per row, in
+    input order. The batch runs as one padded recursion, and each row's
+    result is bit-identical to that row run alone."""
+    logits_list = [np.asarray(logits, dtype=np.float64) for logits in logits_list]
+    targets = [list(target) for target in targets]
+    for row, (logits, target) in enumerate(zip(logits_list, targets)):
+        T, K = logits.shape
+        for label in target:
+            if not 0 < label < K:
+                raise DataError(f"batch row {row}: target label {label} outside "
+                                f"[1, {K - 1}]")
+        need = min_frames(target)
+        if T < need:
+            raise DataError(
+                f"batch row {row}: CTC-infeasible target: {T} frames cannot emit "
+                f"{len(target)} labels (needs at least {need})"
+            )
 
-    lp = log_softmax(logits)
-    ext = _extended(target)
-    alpha = _log_alpha(lp, ext)
-    log_p = np.logaddexp.reduce(alpha[-1, -2:])  # end on the last label or blank
-    # beta includes the emission at t, as alpha does, so alpha + beta - emit
-    # is the total log-probability of complete paths that pass through (t, s)
-    beta = _log_alpha(lp[::-1], ext[::-1])[::-1, ::-1]
-    gamma = alpha + beta - lp[:, ext]
-    occupancy = np.full((T, K), NEG_INF)
-    for k in set(ext.tolist()):
-        cols = gamma[:, ext == k]
-        occupancy[:, k] = np.logaddexp.reduce(cols, axis=1)
-    grad = np.exp(lp) - np.exp(occupancy - log_p)
-    return CTCResult(loss=float(-log_p), grad=grad)
+    frames = [len(logits) for logits in logits_list]
+    ext_lengths = [2 * len(target) + 1 for target in targets]
+    B, T, S, K = len(frames), max(frames), max(ext_lengths), logits_list[0].shape[1]
+    padded = np.zeros((B, T, K))
+    ext = np.zeros((B, S), dtype=np.int64)
+    for row, (logits, target) in enumerate(zip(logits_list, targets)):
+        padded[row, :frames[row]] = logits
+        ext[row, :ext_lengths[row]] = _extended(target)
+    lp = log_softmax(padded)
+
+    # alpha and beta in one recursion over 2B rows; beta includes the
+    # emission at t, as alpha does, so alpha + beta - emit is the total
+    # log-probability of complete paths that pass through (t, s)
+    both = _log_alpha(np.concatenate([lp, reverse_padded(lp, frames)]),
+                      np.concatenate([ext, reverse_padded(ext, ext_lengths)]),
+                      frames + frames, ext_lengths + ext_lengths)
+    alpha = both[:B]
+    beta = reverse_padded(reverse_padded(both[B:], frames).transpose(0, 2, 1),
+                          ext_lengths).transpose(0, 2, 1)
+    rows = np.arange(B)
+    last = np.asarray(frames) - 1
+    ends = np.asarray(ext_lengths)
+    # end on the last label, if there is one, or blank
+    log_p = np.logaddexp(np.where(ends > 1, alpha[rows, last, ends - 2], NEG_INF),
+                         alpha[rows, last, ends - 1])
+    gamma = alpha + beta - np.take_along_axis(lp, ext[:, None, :], axis=2)
+
+    # each label's occupancy sums its columns in column order, starting
+    # from -inf: logaddexp(-inf, x) == x, so this is logaddexp.reduce
+    occupancy = np.full((B, T, K), NEG_INF)
+    for s in range(S):
+        k = ext[:, s]
+        occupancy[rows, :, k] = np.logaddexp(occupancy[rows, :, k], gamma[:, :, s])
+    grad = np.exp(lp) - np.exp(occupancy - log_p[:, None, None])
+    return [CTCResult(loss=float(-log_p[row]), grad=grad[row, :frames[row]])
+            for row in range(B)]
 
 
 def _sequence_log_prob(lp, labels) -> float:
@@ -125,7 +169,9 @@ def _sequence_log_prob(lp, labels) -> float:
         return NEG_INF
     if len(labels) == 0:
         return float(lp[:, BLANK_ID].sum())
-    return float(np.logaddexp.reduce(_log_alpha(lp, _extended(labels))[-1, -2:]))
+    ext = _extended(labels)
+    alpha = _log_alpha(lp[None], ext[None], [lp.shape[0]], [len(ext)])[0]
+    return float(np.logaddexp.reduce(alpha[-1, -2:]))
 
 
 def greedy_decode(logits) -> DecodedSequence:

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ctc
+from .ctc import reverse_padded
 from .errors import ConfigError, DataError
 from .variants import LabelVocabulary
 
@@ -100,14 +101,6 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _reverse_padded(x, lengths):
-    """Reverse each row within its true length; padding stays at the tail."""
-    out = np.zeros_like(x)
-    for b, length in enumerate(lengths):
-        out[b, :length] = x[b, length - 1::-1]
-    return out
-
-
 class ForwardCache:
     """Everything the backward pass needs, tied to the parameters used.
 
@@ -140,7 +133,7 @@ def _layer_forward(params, layer, x, lengths, starts):
     b = params[f"layer{layer}.b"][:, None]
     B, T, D = x.shape
     H = Rt.shape[1]
-    xs = np.stack([x, _reverse_padded(x, lengths)])
+    xs = np.stack([x, reverse_padded(x, lengths)])
 
     gates = (xs.reshape(2, B * T, D) @ Wt).reshape(2, B, T, 4 * H)
     cs = np.zeros((2, B, T + 1, H))
@@ -153,7 +146,7 @@ def _layer_forward(params, layer, x, lengths, starts):
         cs[:, s:, t + 1] = gf * cs[:, s:, t] + gi * gg
         hs[:, s:, t + 1] = go * np.tanh(cs[:, s:, t + 1])
 
-    out = np.concatenate([hs[0, :, 1:], _reverse_padded(hs[1, :, 1:], lengths)], axis=2)
+    out = np.concatenate([hs[0, :, 1:], reverse_padded(hs[1, :, 1:], lengths)], axis=2)
     for b_idx, length in enumerate(lengths):
         out[b_idx, length:] = 0.0
     return out, (xs, gates, cs, hs)
@@ -246,7 +239,7 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, starts, grads):
     xs, gates, cs, hs = layer_cache
     _, B, T, D = xs.shape
     H = R.shape[2]
-    dhs = np.stack([d_out[..., :H], _reverse_padded(d_out[..., H:], lengths)])
+    dhs = np.stack([d_out[..., :H], reverse_padded(d_out[..., H:], lengths)])
 
     dz = np.zeros_like(gates)
     dh_next = np.zeros((2, B, H))
@@ -273,7 +266,7 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, starts, grads):
     dz.sum(axis=1, out=grads[f"layer{layer}.b"])
     dxs = (dz @ params[f"layer{layer}.W"]).reshape(2, B, T, D)
     dx = dxs[0]
-    dx += _reverse_padded(dxs[1], lengths)
+    dx += reverse_padded(dxs[1], lengths)
     return dx
 
 

@@ -194,11 +194,10 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
             total_loss = 0.0
             for batch in make_batches(train_items, train_config.batch_size, shuffle):
                 logits_list, cache = forward_batch(params, [it.features for it in batch])
-                dlogits = []
-                for logits, item in zip(logits_list, batch):
-                    result = ctc.ctc_loss(logits, item.target)
+                results = ctc.ctc_loss(logits_list, [item.target for item in batch])
+                for result in results:
                     total_loss += result.loss
-                    dlogits.append(result.grad / len(batch))
+                dlogits = [result.grad / len(batch) for result in results]
                 if not np.isfinite(total_loss):
                     kept = (f"last good checkpoint kept at {checkpoint_path}" if best_epoch
                             else "no checkpoint was written")

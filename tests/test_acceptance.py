@@ -77,7 +77,7 @@ def test_criterion_1_ctc_oracle_equivalence():
         if not feasible:
             continue
         target = list(feasible[int(rng.integers(len(feasible)))])
-        loss = ctc_loss(logits, target).loss
+        loss = ctc_loss([logits], [target])[0].loss
         worst = max(worst, abs(loss - (-table[tuple(target)])))
         checked += 1
     elapsed = time.monotonic() - started
@@ -100,7 +100,7 @@ def test_criterion_2_gradient_checks():
         target = [int(rng.integers(1, V + 1)) for _ in range(int(rng.integers(1, 4)))]
         if min_frames(target) > T:
             continue
-        grad = ctc_loss(logits, target).grad
+        grad = ctc_loss([logits], [target])[0].grad
         h = 1e-7
         fd = np.zeros_like(logits)
         for t in range(T):
@@ -108,8 +108,8 @@ def test_criterion_2_gradient_checks():
                 up, down = logits.copy(), logits.copy()
                 up[t, k] += h
                 down[t, k] -= h
-                fd[t, k] = (ctc_loss(up, target).loss
-                            - ctc_loss(down, target).loss) / (2 * h)
+                fd[t, k] = (ctc_loss([up], [target])[0].loss
+                            - ctc_loss([down], [target])[0].loss) / (2 * h)
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-8)
         worst_ctc = max(worst_ctc, np.abs(grad - fd).max() / scale)
         checked += 1

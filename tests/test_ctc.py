@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tinyasr.ctc import (
     _sequence_log_prob,
@@ -53,7 +55,7 @@ class TestLoss:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(1, 4))
         lp = log_softmax(logits)
-        result = ctc_loss(logits, [2])
+        result = ctc_loss([logits], [[2]])[0]
         assert result.loss == pytest.approx(-lp[0, 2])
 
     def test_two_frames_single_label_three_paths(self):
@@ -62,16 +64,21 @@ class TestLoss:
         p = np.exp(log_softmax(logits))
         a = 1
         expected = p[0, a] * p[1, a] + p[0, a] * p[1, 0] + p[0, 0] * p[1, a]
-        result = ctc_loss(logits, [a])
+        result = ctc_loss([logits], [[a]])[0]
         assert result.loss == pytest.approx(-math.log(expected))
 
     def test_infeasible_target_is_explicit_error(self):
-        with pytest.raises(DataError, match="infeasible"):
-            ctc_loss(np.zeros((2, 3)), [1, 1])
+        with pytest.raises(DataError, match="batch row 1: CTC-infeasible"):
+            ctc_loss([np.zeros((4, 3)), np.zeros((2, 3))], [[1, 2], [1, 1]])
 
     def test_blank_in_target_rejected(self):
-        with pytest.raises(DataError):
-            ctc_loss(np.zeros((3, 3)), [0, 1])
+        with pytest.raises(DataError, match="batch row 1: target label 0"):
+            ctc_loss([np.zeros((3, 3)), np.zeros((3, 3))], [[2], [0, 1]])
+
+    def test_empty_target_is_the_all_blank_path(self):
+        logits = np.random.default_rng(12).normal(size=(5, 3))
+        result = ctc_loss([logits], [[]])[0]
+        assert result.loss == pytest.approx(-log_softmax(logits)[:, 0].sum(), abs=1e-12)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(2)
@@ -85,7 +92,7 @@ class TestLoss:
             if not feasible:
                 continue
             target = list(feasible[int(rng.integers(len(feasible)))])
-            result = ctc_loss(logits, target)
+            result = ctc_loss([logits], [target])[0]
             assert result.loss == pytest.approx(-table[tuple(target)], abs=1e-9)
             checked += 1
 
@@ -101,7 +108,7 @@ class TestLoss:
                 target.append(int(rng.integers(1, V + 1)))
             if min_frames(target) > T:
                 continue
-            grad = ctc_loss(logits, target).grad
+            grad = ctc_loss([logits], [target])[0].grad
             h = 1e-7
             fd = np.zeros_like(logits)
             for t in range(T):
@@ -110,8 +117,8 @@ class TestLoss:
                     up[t, k] += h
                     down = logits.copy()
                     down[t, k] -= h
-                    fd[t, k] = (ctc_loss(up, target).loss
-                                - ctc_loss(down, target).loss) / (2 * h)
+                    fd[t, k] = (ctc_loss([up], [target])[0].loss
+                                - ctc_loss([down], [target])[0].loss) / (2 * h)
             scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-8)
             worst = max(worst, np.abs(grad - fd).max() / scale)
         assert worst < 1e-6
@@ -120,10 +127,10 @@ class TestLoss:
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(5, 4))
         target = [1, 2]
-        base = ctc_loss(logits, target).loss
+        base = ctc_loss([logits], [target])[0].loss
         shifted = logits.copy()
         shifted[2] += 7.3
-        assert ctc_loss(shifted, target).loss == pytest.approx(base, abs=1e-12)
+        assert ctc_loss([shifted], [target])[0].loss == pytest.approx(base, abs=1e-12)
 
     def test_path_probabilities_partition_unity(self):
         rng = np.random.default_rng(5)
@@ -136,9 +143,32 @@ class TestLoss:
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(6, 4))
-        grad = ctc_loss(logits, [1, 2, 3]).grad
+        grad = ctc_loss([logits], [[1, 2, 3]])[0].grad
         assert np.abs(grad.sum(axis=1)).max() < 1e-12
         assert np.all(np.isfinite(grad))
+
+
+class TestBatch:
+    # each row: its target and its frames beyond min_frames; one K and one
+    # seed for the logits of the whole batch
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=5),
+                                   st.integers(0, 8)), min_size=1, max_size=6),
+           K=st.integers(4, 6), seed=st.integers(0, 2 ** 32 - 1))
+    @example(rows=[([2, 2, 1], 0)], K=4, seed=0)  # B=1, repeats, T == min_frames
+    @example(rows=[([1], 0), ([3, 3, 3], 5), ([2], 8), ([1, 2, 1, 2, 1], 0)], K=4, seed=1)
+    def test_each_row_equals_itself_run_alone(self, rows, K, seed):
+        rng = np.random.default_rng(seed)
+        targets = [target for target, _ in rows]
+        logits = [rng.normal(size=(min_frames(target) + extra, K)) * 3.0
+                  for target, extra in rows]
+        batch = ctc_loss(logits, targets)
+        flipped = ctc_loss(logits[::-1], targets[::-1])[::-1]
+        for row, (x, target) in enumerate(zip(logits, targets)):
+            alone = ctc_loss([x], [target])[0]
+            for result in (batch[row], flipped[row]):
+                assert result.loss == alone.loss
+                assert np.array_equal(result.grad, alone.grad)
 
 
 class TestGreedy:

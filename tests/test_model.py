@@ -474,3 +474,23 @@ class TestDamagedCheckpoint:
         path = root / "changed.bin"
         path.write_bytes(data[:at] + bytes([byte]) + data[at + 1:])
         load_or_data_error(path)
+
+    # 1-4 bytes set within the magic, the version and length words and the
+    # JSON header: the load returns or raises a DataError, nothing else
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=st.data())
+    def test_header_bytes_replaced(self, saved_checkpoint, drawn):
+        root, data = saved_checkpoint
+        (length,) = struct.unpack("<I", data[12:16])
+        header = bytearray(data[:16 + length])
+        edits = drawn.draw(st.lists(st.tuples(st.integers(0, len(header) - 1),
+                                              st.integers(0, 255)), min_size=1, max_size=4),
+                           label="edits")
+        for index, value in edits:
+            header[index] = value
+        path = root / "header.bin"
+        path.write_bytes(bytes(header) + data[16 + length:])
+        try:
+            load_checkpoint(path)
+        except DataError:
+            pass

@@ -307,20 +307,23 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("nan_from_call,kept", [
         (1, "no checkpoint was written"),
-        (25, "last good checkpoint kept at"),
+        (4, "last good checkpoint kept at"),
     ])
     def test_divergence_names_checkpoint_only_if_written(self, tmp_path, monkeypatch,
                                                          nan_from_call, kept):
-        # one loss per train utterance: calls 1-24 are epoch 1, call 25 is epoch 2
+        # one call per batch of 8 of the 24 train utterances: calls 1-3 are
+        # epoch 1, call 4 starts epoch 2
         from tinyasr import ctc
 
         ctc_loss = ctc.ctc_loss
         calls = []
 
-        def diverging_loss(logits, target):
+        def diverging_loss(logits_list, targets):
             calls.append(None)
-            result = ctc_loss(logits, target)
-            return result if len(calls) < nan_from_call else ctc.CTCResult(np.nan, result.grad)
+            results = ctc_loss(logits_list, targets)
+            if len(calls) < nan_from_call:
+                return results
+            return [ctc.CTCResult(np.nan, result.grad) for result in results]
 
         monkeypatch.setattr(ctc, "ctc_loss", diverging_loss)
         with pytest.raises(TrainingError, match=kept):
