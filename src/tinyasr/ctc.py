@@ -3,13 +3,14 @@ and greedy / prefix-beam decoding.
 
 All recursions run in log space. Blank is always label index 0. There is
 one recursion, _log_alpha, over a padded batch of rows. The loss takes a
-whole training batch and runs the forward and the backward variables as
-one stack of rows, the backward ones as the forward recursion on each row
-reversed within its length; beam search scores a sequence as a batch of
-one. Padding never reaches a row's own values, so each row's loss and
-gradient are bit-identical to that row run alone.
+training batch as the model's padded logits, and runs the forward and the
+backward variables as one stack of rows, the backward ones as the forward
+recursion on each row reversed within its length; beam search scores a
+sequence as a batch of one. Padding never reaches a row's own values, so
+each row's loss and gradient are bit-identical to that row run alone.
 """
 
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -19,12 +20,6 @@ from .errors import DataError
 
 BLANK_ID = 0
 NEG_INF = -np.inf
-
-
-@dataclass
-class CTCResult:
-    loss: float  # negative log-likelihood
-    grad: np.ndarray  # d loss / d logits, same shape as the logits
 
 
 @dataclass
@@ -102,36 +97,38 @@ def _log_alpha(lp, ext, frames, ext_lengths):
     return alpha
 
 
-def ctc_loss(logits_list, targets) -> list:
-    """Negative log-likelihood of each target under its (T_b, K) logits,
-    with the exact gradient, via the log-space forward-backward recursion
-    over the blank-extended targets. Returns one CTCResult per row, in
-    input order. The batch runs as one padded recursion, and each row's
-    result is bit-identical to that row run alone."""
-    logits_list = [np.asarray(logits, dtype=np.float64) for logits in logits_list]
-    targets = [list(target) for target in targets]
-    for row, (logits, target) in enumerate(zip(logits_list, targets)):
-        T, K = logits.shape
+def ctc_loss(logits, frames, targets):
+    """Negative log-likelihood of each row's target under its logits, with
+    the exact gradient, via the log-space forward-backward recursion over
+    the blank-extended targets. Row b of the padded logits (B, T, K) holds
+    frames[b] frames, 1 <= frames[b] <= T; values past them do not matter.
+    Returns (losses (B,), grad (B, T, K)), grad exactly 0.0 past each row's
+    frames, and each row bit-identical to that row run alone."""
+    logits = np.asarray(logits, dtype=np.float64)
+    frames, targets = list(frames), [list(target) for target in targets]
+    if logits.ndim != 3 or not 0 < len(logits) == len(frames) == len(targets):
+        raise ValueError(f"ctc_loss takes logits (B, T, K), B >= 1, and B frame counts "
+                         f"and targets, not {logits.shape}, {len(frames)}, {len(targets)}")
+    B, T, K = logits.shape
+    for row, (n, target) in enumerate(zip(frames, targets)):
+        if not (isinstance(n, numbers.Integral) and 1 <= n <= T):
+            raise ValueError(f"batch row {row}: frame count {n!r} is not an int in [1, {T}]")
         for label in target:
             if not 0 < label < K:
                 raise DataError(f"batch row {row}: target label {label} outside "
                                 f"[1, {K - 1}]")
         need = min_frames(target)
-        if T < need:
+        if n < need:
             raise DataError(
-                f"batch row {row}: CTC-infeasible target: {T} frames cannot emit "
+                f"batch row {row}: CTC-infeasible target: {n} frames cannot emit "
                 f"{len(target)} labels (needs at least {need})"
             )
 
-    frames = [len(logits) for logits in logits_list]
     ext_lengths = [2 * len(target) + 1 for target in targets]
-    B, T, S, K = len(frames), max(frames), max(ext_lengths), logits_list[0].shape[1]
-    padded = np.zeros((B, T, K))
-    ext = np.zeros((B, S), dtype=np.int64)
-    for row, (logits, target) in enumerate(zip(logits_list, targets)):
-        padded[row, :frames[row]] = logits
+    ext = np.zeros((B, max(ext_lengths)), dtype=np.int64)
+    for row, target in enumerate(targets):
         ext[row, :ext_lengths[row]] = _extended(target)
-    lp = log_softmax(padded)
+    lp = log_softmax(logits)
 
     # alpha and beta in one recursion over 2B rows; beta includes the
     # emission at t, as alpha does, so alpha + beta - emit is the total
@@ -153,12 +150,12 @@ def ctc_loss(logits_list, targets) -> list:
     # each label's occupancy sums its columns in column order, starting
     # from -inf: logaddexp(-inf, x) == x, so this is logaddexp.reduce
     occupancy = np.full((B, T, K), NEG_INF)
-    for s in range(S):
+    for s in range(ext.shape[1]):
         k = ext[:, s]
         occupancy[rows, :, k] = np.logaddexp(occupancy[rows, :, k], gamma[:, :, s])
     grad = np.exp(lp) - np.exp(occupancy - log_p[:, None, None])
-    return [CTCResult(loss=float(-log_p[row]), grad=grad[row, :frames[row]])
-            for row in range(B)]
+    grad[np.arange(T) > last[:, None]] = 0.0
+    return -log_p, grad
 
 
 def _sequence_log_prob(lp, labels) -> float:

@@ -2,13 +2,13 @@
 
 Forward and backward passes are implemented directly in numpy (float64),
 with exact backpropagation through time. The two directions of a layer run
-in one time loop, stacked on a leading axis of 2. A batch's rows are sorted
-by length, shortest first, and padded to the longest; the backward direction
-reverses each row within its true length, so padding always sits at the
-processing tail. Each time step then runs only the rows still inside their
-length (at least two), a suffix of the batch shared by both directions, so
-padding costs next to no recurrence work and never touches valid frames, in
-either pass.
+in one time loop, stacked on a leading axis of 2. A batch comes sorted by
+length, shortest first, and stays padded to the longest from the input to
+the logits, through the CTC loss and back; the backward direction reverses
+each row within its true length, so padding always sits at the processing
+tail. Each time step then runs only the rows still inside their length (at
+least two), a suffix of the batch shared by both directions, so padding
+costs next to no recurrence work and never touches valid frames, either way.
 """
 
 import json
@@ -104,8 +104,8 @@ def _sigmoid(x):
 class ForwardCache:
     """Everything the backward pass needs, tied to the parameters used.
 
-    Rows are in length order: row r holds input order[r], of lengths[r]
-    frames, and step t ran rows starts[t]: (see forward_batch). Per layer,
+    Row b holds the batch's utterance b, of lengths[b] frames, shortest
+    first, and step t ran rows starts[t]: (see forward_batch). Per layer,
     a tuple (xs, gates, cs, hs) with a leading axis of 2 for the fwd and bwd
     directions, each in its own processing order: the layer inputs
     (2, B, T, D), the gate activations i, f, g, o (2, B, T, 4H), and the
@@ -114,9 +114,8 @@ class ForwardCache:
     no step wrote keeps the zero state in cs and hs, and in gates its input
     projection alone."""
 
-    def __init__(self, params, order, lengths, starts):
+    def __init__(self, params, lengths, starts):
         self.params = params
-        self.order = order
         self.lengths = lengths
         self.starts = starts
         self.layers = []
@@ -153,13 +152,13 @@ def _layer_forward(params, layer, x, lengths, starts):
 
 
 def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
-    """Run the stack over a batch of (T_i, D) arrays.
+    """Run the stack over a batch of (T_b, D) arrays, sorted shortest first.
 
-    Returns ([logits (T_i, V+1)], cache), the logits in input order. The
-    rows run stable-sorted by length, so a sorted list runs as given. The
-    cache, which backward_batch reads, holds every layer's arrays; without
-    keep_cache it is None and each layer's arrays are freed once the next
-    layer has its input.
+    Returns (logits (B, T, V+1), cache): row b holds utterance b's logits
+    in its first T_b frames, T being the longest; a frame past them holds
+    the projection bias. The cache, which backward_batch reads, holds every
+    layer's arrays; without keep_cache it is None and each layer's arrays
+    are freed once the next layer has its input.
     """
     config = params.config
     for feats in feature_list:
@@ -171,19 +170,20 @@ def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
         if feats.shape[0] < 1:
             raise DataError("empty feature matrix")
 
-    order = sorted(range(len(feature_list)), key=lambda i: len(feature_list[i]))
-    lengths = [len(feature_list[i]) for i in order]
-    B, T = len(order), lengths[-1]
+    lengths = [len(feats) for feats in feature_list]
+    if lengths != sorted(lengths):
+        raise ValueError("forward_batch takes a batch sorted shortest first")
+    B, T = len(lengths), lengths[-1]
     x = np.zeros((B, T, config.input_dim))
-    for row, i in enumerate(order):
-        x[row, :lengths[row]] = feature_list[i]
+    for row, feats in enumerate(feature_list):
+        x[row, :lengths[row]] = feats
     # step t runs rows starts[t]:, those still inside their length, but never
     # fewer than two: numpy multiplies a single row by another path, which
     # rounds differently. An extra row runs on its padding, which is dropped.
     starts = np.minimum(np.searchsorted(lengths, np.arange(T), side="right"),
                         max(B - 2, 0)).tolist()
 
-    cache = ForwardCache(params, order, lengths, starts) if keep_cache else None
+    cache = ForwardCache(params, lengths, starts) if keep_cache else None
     for layer in range(config.num_layers):
         x, layer_cache = _layer_forward(params, layer, x, lengths, starts)
         if cache is not None:
@@ -192,11 +192,7 @@ def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
 
     if cache is not None:
         cache.top = x
-    logits = x @ params["proj.W"].T + params["proj.b"]
-    out = [None] * B
-    for row, i in enumerate(order):
-        out[i] = logits[row, :lengths[row]]
-    return out, cache
+    return x @ params["proj.W"].T + params["proj.b"], cache
 
 
 def decode(params: ModelParameters, feature_list, beam_width=None):
@@ -222,11 +218,12 @@ def decode(params: ModelParameters, feature_list, beam_width=None):
 
     decoded = [None] * len(feature_list)
     for batch in batches:
-        logits_list, _ = forward_batch(params, [feature_list[i] for i in batch],
-                                       keep_cache=False)
-        for i, logits in zip(batch, logits_list):
-            decoded[i] = (ctc.greedy_decode(logits) if beam_width is None
-                          else ctc.beam_decode(logits, beam_width))
+        logits, _ = forward_batch(params, [feature_list[i] for i in batch],
+                                  keep_cache=False)
+        for row, i in enumerate(batch):
+            row_logits = logits[row, :lengths[i]]
+            decoded[i] = (ctc.greedy_decode(row_logits) if beam_width is None
+                          else ctc.beam_decode(row_logits, beam_width))
     return decoded
 
 
@@ -270,27 +267,19 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, starts, grads):
     return dx
 
 
-def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits_list):
+def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits):
     """Exact gradients of a scalar loss w.r.t. every parameter, given the
-    loss gradient on each utterance's logits, in forward_batch's input
-    order, as a ModelParameters."""
+    loss gradient on forward_batch's padded logits (B, T, V+1), exactly 0.0
+    past each row's frames as ctc.ctc_loss gives it, as a ModelParameters."""
     if cache.params is not params:
         raise ValueError("forward cache does not belong to these parameters")
-    if len(dlogits_list) != len(cache.lengths):
-        raise ValueError("gradient list does not match cached batch size")
-
     config = params.config
-    B, T = len(cache.lengths), cache.top.shape[1]
-    K = config.output_dim
-    dlogits = np.zeros((B, T, K))
-    for row, (i, length) in enumerate(zip(cache.order, cache.lengths)):
-        dl = dlogits_list[i]
-        if dl.shape != (length, K):
-            raise ValueError(f"logits gradient {dl.shape} does not match ({length}, {K})")
-        dlogits[row, :length] = dl
+    shape = cache.top.shape[:2] + (config.output_dim,)
+    if dlogits.shape != shape:
+        raise ValueError(f"logits gradient {dlogits.shape} does not match the batch's {shape}")
 
     grads = ModelParameters(config)
-    flat_dl = dlogits.reshape(-1, K)
+    flat_dl = dlogits.reshape(-1, config.output_dim)
     np.matmul(flat_dl.T, cache.top.reshape(-1, 2 * config.hidden_units), out=grads["proj.W"])
     flat_dl.sum(axis=0, out=grads["proj.b"])
 

@@ -7,7 +7,9 @@ evaluation can be reproduced from the directory alone (plus the audio).
 """
 
 import json
+import os
 import shutil
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -378,17 +380,27 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
     call.
 
     Returns [(path, text_or_None, error_or_None)] in input order; a file
-    that fails does not stop the others. Output text is written
-    next to each input.
+    that fails does not stop the others. Output text is written next to
+    each input, with the suffix .txt; a file whose transcript would
+    overwrite an input or another input's transcript fails.
     """
     run_dir = Path(run_dir)
     sample_rate = _read_run_info(run_dir)["sample_rate"]
     params, vocab = _load_run_model(run_dir)
 
     wav_paths = [Path(wav_path) for wav_path in wav_paths]
+    # the files the inputs and transcripts are; realpath passes over symlink loops
+    inputs = {os.path.realpath(wav_path) for wav_path in wav_paths}
+    targets = [os.path.realpath(wav_path.with_suffix(".txt")) if wav_path.name else None
+               for wav_path in wav_paths]
+    shared = Counter(targets)
     frames, errors = {}, {}
     for index, wav_path in enumerate(wav_paths):
         try:
+            target = targets[index]
+            if target in inputs or (target is not None and shared[target] > 1):
+                raise DataError(f"{wav_path}: its transcript {wav_path.with_suffix('.txt')} "
+                                "would overwrite an input or another input's transcript")
             if not wav_path.exists():
                 raise DataError(f"file not found: {wav_path}")
             frames[index] = extract_features(read_wav(wav_path), sample_rate).frames

@@ -193,17 +193,17 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
             shuffle = rng_for(seed, "epoch", epoch)
             total_loss = 0.0
             for batch in make_batches(train_items, train_config.batch_size, shuffle):
-                logits_list, cache = forward_batch(params, [it.features for it in batch])
-                results = ctc.ctc_loss(logits_list, [item.target for item in batch])
-                for result in results:
-                    total_loss += result.loss
-                dlogits = [result.grad / len(batch) for result in results]
+                logits, cache = forward_batch(params, [item.features for item in batch])
+                losses, grad = ctc.ctc_loss(logits, [item.num_frames for item in batch],
+                                            [item.target for item in batch])
+                for loss in losses.tolist():
+                    total_loss += loss
                 if not np.isfinite(total_loss):
                     kept = (f"last good checkpoint kept at {checkpoint_path}" if best_epoch
                             else "no checkpoint was written")
                     raise TrainingError(
                         f"training diverged (non-finite loss) at epoch {epoch}; {kept}")
-                grads = backward_batch(params, cache, dlogits)
+                grads = backward_batch(params, cache, grad / len(batch))
                 del cache  # the activations are not needed by the update; free them first
                 params, adam = adam_step(params, grads, adam, train_config)
 

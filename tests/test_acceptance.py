@@ -77,7 +77,7 @@ def test_criterion_1_ctc_oracle_equivalence():
         if not feasible:
             continue
         target = list(feasible[int(rng.integers(len(feasible)))])
-        loss = ctc_loss([logits], [target])[0].loss
+        loss = ctc_loss(logits[None], [len(logits)], [target])[0][0]
         worst = max(worst, abs(loss - (-table[tuple(target)])))
         checked += 1
     elapsed = time.monotonic() - started
@@ -100,7 +100,7 @@ def test_criterion_2_gradient_checks():
         target = [int(rng.integers(1, V + 1)) for _ in range(int(rng.integers(1, 4)))]
         if min_frames(target) > T:
             continue
-        grad = ctc_loss([logits], [target])[0].grad
+        grad = ctc_loss(logits[None], [len(logits)], [target])[1][0]
         h = 1e-7
         fd = np.zeros_like(logits)
         for t in range(T):
@@ -108,8 +108,8 @@ def test_criterion_2_gradient_checks():
                 up, down = logits.copy(), logits.copy()
                 up[t, k] += h
                 down[t, k] -= h
-                fd[t, k] = (ctc_loss([up], [target])[0].loss
-                            - ctc_loss([down], [target])[0].loss) / (2 * h)
+                fd[t, k] = (ctc_loss(up[None], [len(up)], [target])[0][0]
+                            - ctc_loss(down[None], [len(down)], [target])[0][0]) / (2 * h)
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-8)
         worst_ctc = max(worst_ctc, np.abs(grad - fd).max() / scale)
         checked += 1
@@ -129,7 +129,7 @@ def test_criterion_2_gradient_checks():
         feats = trial_rng.normal(size=(T, config.input_dim))
         weights = trial_rng.normal(size=(T, config.output_dim))
         _, cache = forward_batch(params, [feats])
-        grads = backward_batch(params, cache, [weights])
+        grads = backward_batch(params, cache, weights[None])
         h = 1e-6
         for name, tensor in params.tensors.items():
             fd = np.zeros_like(tensor)

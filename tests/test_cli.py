@@ -820,6 +820,47 @@ class TestTrainedRun:
         assert "slow.wav" in errors[1] and "sample rate" in errors[1]
         assert last.with_suffix(".txt").exists() and not slow.with_suffix(".txt").exists()
 
+    def test_transcribe_never_writes_over_an_input(self, trained_run, tmp_path, capsys):
+        # clip.wav's transcript would be clip.txt, an input that holds audio;
+        # clip.txt's own transcript path is itself
+        clip_txt, clip_wav, other = self._copy_wavs(trained_run, tmp_path, 3)
+        clip_txt = clip_txt.rename(tmp_path / "clip.txt")
+        clip_wav = clip_wav.rename(tmp_path / "clip.wav")
+        audio = clip_txt.read_bytes()
+        rc = main(["transcribe", "--run", str(trained_run["run"]),
+                   str(clip_txt), str(clip_wav), str(other)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert clip_txt.read_bytes() == audio
+        assert [line.split("\t")[0] for line in captured.out.splitlines()] == [str(other)]
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith(f"error: {clip_txt}: ")
+        assert errors[1].startswith(f"error: {clip_wav}: ")
+        assert other.with_suffix(".txt").exists()
+
+    def test_transcribe_writes_no_shared_transcript(self, trained_run, tmp_path, capsys):
+        # take.wav and take.flac would both write take.txt
+        take_wav, take_flac, other = self._copy_wavs(trained_run, tmp_path, 3)
+        take_wav = take_wav.rename(tmp_path / "take.wav")
+        take_flac = take_flac.rename(tmp_path / "take.flac")
+        rc = main(["transcribe", "--run", str(trained_run["run"]),
+                   str(take_wav), str(other), str(tmp_path / "." / "take.flac")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert [line.split("\t")[0] for line in captured.out.splitlines()] == [str(other)]
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith(f"error: {take_wav}: ") and "take.flac" in errors[1]
+        assert not (tmp_path / "take.txt").exists()
+
+    def test_transcribe_symlink_loop_is_one_error_line(self, trained_run, tmp_path, capsys):
+        loop = tmp_path / "loop.wav"
+        loop.symlink_to(loop)
+        assert main(["transcribe", "--run", str(trained_run["run"]), str(loop)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "loop.wav" in err
+
     def test_degenerate_sweep_equals_full_run(self, trained_run, capsys):
         info = json.loads((trained_run["run"] / "run.json").read_text())
         n_train = len(info["splits"]["train"])

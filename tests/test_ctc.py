@@ -31,6 +31,12 @@ def enumerate_sequences(logits):
     return table
 
 
+def loss_alone(logits, target):
+    """ctc_loss over a batch of one (T, K) row: (loss, grad (T, K))."""
+    losses, grad = ctc_loss(logits[None], [len(logits)], [target])
+    return losses[0], grad[0]
+
+
 class TestCollapse:
     def test_blank_separates_repeat(self):
         assert collapse([1, 1, 0, 1, 2]) == [1, 1, 2]
@@ -55,8 +61,8 @@ class TestLoss:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(1, 4))
         lp = log_softmax(logits)
-        result = ctc_loss([logits], [[2]])[0]
-        assert result.loss == pytest.approx(-lp[0, 2])
+        loss, _ = loss_alone(logits, [2])
+        assert loss == pytest.approx(-lp[0, 2])
 
     def test_two_frames_single_label_three_paths(self):
         rng = np.random.default_rng(1)
@@ -64,21 +70,29 @@ class TestLoss:
         p = np.exp(log_softmax(logits))
         a = 1
         expected = p[0, a] * p[1, a] + p[0, a] * p[1, 0] + p[0, 0] * p[1, a]
-        result = ctc_loss([logits], [[a]])[0]
-        assert result.loss == pytest.approx(-math.log(expected))
+        loss, _ = loss_alone(logits, [a])
+        assert loss == pytest.approx(-math.log(expected))
 
     def test_infeasible_target_is_explicit_error(self):
         with pytest.raises(DataError, match="batch row 1: CTC-infeasible"):
-            ctc_loss([np.zeros((4, 3)), np.zeros((2, 3))], [[1, 2], [1, 1]])
+            ctc_loss(np.zeros((2, 4, 3)), [4, 2], [[1, 2], [1, 1]])
 
     def test_blank_in_target_rejected(self):
         with pytest.raises(DataError, match="batch row 1: target label 0"):
-            ctc_loss([np.zeros((3, 3)), np.zeros((3, 3))], [[2], [0, 1]])
+            ctc_loss(np.zeros((2, 3, 3)), [3, 3], [[2], [0, 1]])
+
+    @pytest.mark.parametrize("shape, frames", [
+        ((1, 4, 3), [0]), ((1, 4, 3), [5]), ((1, 4, 3), [2.5]), ((1, 4, 3), [4, 4]),
+        ((0, 4, 3), []), ((4, 3), [4]),
+    ], ids=["zero", "past-T", "fraction", "too-many", "empty-batch", "2-D"])
+    def test_frame_counts_must_fit_the_logits(self, shape, frames):
+        with pytest.raises(ValueError, match="frame count"):
+            ctc_loss(np.zeros(shape), frames, [[1]] * len(frames))
 
     def test_empty_target_is_the_all_blank_path(self):
         logits = np.random.default_rng(12).normal(size=(5, 3))
-        result = ctc_loss([logits], [[]])[0]
-        assert result.loss == pytest.approx(-log_softmax(logits)[:, 0].sum(), abs=1e-12)
+        loss, _ = loss_alone(logits, [])
+        assert loss == pytest.approx(-log_softmax(logits)[:, 0].sum(), abs=1e-12)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(2)
@@ -92,8 +106,8 @@ class TestLoss:
             if not feasible:
                 continue
             target = list(feasible[int(rng.integers(len(feasible)))])
-            result = ctc_loss([logits], [target])[0]
-            assert result.loss == pytest.approx(-table[tuple(target)], abs=1e-9)
+            loss, _ = loss_alone(logits, target)
+            assert loss == pytest.approx(-table[tuple(target)], abs=1e-9)
             checked += 1
 
     def test_gradient_matches_finite_differences(self):
@@ -108,7 +122,7 @@ class TestLoss:
                 target.append(int(rng.integers(1, V + 1)))
             if min_frames(target) > T:
                 continue
-            grad = ctc_loss([logits], [target])[0].grad
+            grad = loss_alone(logits, target)[1]
             h = 1e-7
             fd = np.zeros_like(logits)
             for t in range(T):
@@ -117,8 +131,8 @@ class TestLoss:
                     up[t, k] += h
                     down = logits.copy()
                     down[t, k] -= h
-                    fd[t, k] = (ctc_loss([up], [target])[0].loss
-                                - ctc_loss([down], [target])[0].loss) / (2 * h)
+                    fd[t, k] = (loss_alone(up, target)[0]
+                                - loss_alone(down, target)[0]) / (2 * h)
             scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-8)
             worst = max(worst, np.abs(grad - fd).max() / scale)
         assert worst < 1e-6
@@ -127,10 +141,10 @@ class TestLoss:
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(5, 4))
         target = [1, 2]
-        base = ctc_loss([logits], [target])[0].loss
+        base = loss_alone(logits, target)[0]
         shifted = logits.copy()
         shifted[2] += 7.3
-        assert ctc_loss([shifted], [target])[0].loss == pytest.approx(base, abs=1e-12)
+        assert loss_alone(shifted, target)[0] == pytest.approx(base, abs=1e-12)
 
     def test_path_probabilities_partition_unity(self):
         rng = np.random.default_rng(5)
@@ -143,7 +157,7 @@ class TestLoss:
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(6, 4))
-        grad = ctc_loss([logits], [[1, 2, 3]])[0].grad
+        grad = loss_alone(logits, [1, 2, 3])[1]
         assert np.abs(grad.sum(axis=1)).max() < 1e-12
         assert np.all(np.isfinite(grad))
 
@@ -160,15 +174,17 @@ class TestBatch:
     def test_each_row_equals_itself_run_alone(self, rows, K, seed):
         rng = np.random.default_rng(seed)
         targets = [target for target, _ in rows]
-        logits = [rng.normal(size=(min_frames(target) + extra, K)) * 3.0
-                  for target, extra in rows]
-        batch = ctc_loss(logits, targets)
-        flipped = ctc_loss(logits[::-1], targets[::-1])[::-1]
-        for row, (x, target) in enumerate(zip(logits, targets)):
-            alone = ctc_loss([x], [target])[0]
-            for result in (batch[row], flipped[row]):
-                assert result.loss == alone.loss
-                assert np.array_equal(result.grad, alone.grad)
+        frames = [min_frames(target) + extra for target, extra in rows]
+        # the padding past a row's frames holds values that must not matter
+        logits = rng.normal(size=(len(rows), max(frames), K)) * 3.0
+        batch = ctc_loss(logits, frames, targets)
+        flipped = [a[::-1] for a in ctc_loss(logits[::-1], frames[::-1], targets[::-1])]
+        for row, (n, target) in enumerate(zip(frames, targets)):
+            loss, grad = loss_alone(logits[row, :n], target)
+            for losses, grads in (batch, flipped):
+                assert losses[row] == loss
+                assert np.array_equal(grads[row, :n], grad)
+                assert np.all(grads[row, n:] == 0.0)
 
 
 class TestGreedy:

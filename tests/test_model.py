@@ -32,13 +32,21 @@ def tiny_config(rng):
     )
 
 
-def scalar_loss(params, feature_list, weight_list):
-    logits_list, _ = forward_batch(params, feature_list)
-    return float(sum((logits * weights).sum()
-                     for logits, weights in zip(logits_list, weight_list)))
+def pad(arrays):
+    """The (T_b, K) arrays as rows of one (B, T, K) array, zero past each."""
+    out = np.zeros((len(arrays), max(map(len, arrays)), arrays[0].shape[1]))
+    for row, array in enumerate(arrays):
+        out[row, :len(array)] = array
+    return out
 
 
-def finite_difference(params, feature_list, weight_list, name, h=1e-6):
+def scalar_loss(params, feature_list, weights):
+    """The logits weighted by (B, T, K) weights, zero past each row's frames."""
+    logits, _ = forward_batch(params, feature_list)
+    return float((logits * weights).sum())
+
+
+def finite_difference(params, feature_list, weights, name, h=1e-6):
     tensor = params.tensors[name]
     fd = np.zeros_like(tensor)
     it = np.nditer(tensor, flags=["multi_index"])
@@ -46,9 +54,9 @@ def finite_difference(params, feature_list, weight_list, name, h=1e-6):
         idx = it.multi_index
         orig = tensor[idx]
         tensor[idx] = orig + h
-        up = scalar_loss(params, feature_list, weight_list)
+        up = scalar_loss(params, feature_list, weights)
         tensor[idx] = orig - h
-        down = scalar_loss(params, feature_list, weight_list)
+        down = scalar_loss(params, feature_list, weights)
         tensor[idx] = orig
         fd[idx] = (up - down) / (2 * h)
         it.iternext()
@@ -185,11 +193,11 @@ class TestForward:
         rng = np.random.default_rng(13)
         config = ModelConfig(input_dim=4, vocab_size=3, num_layers=2, hidden_units=5)
         params = init_parameters(config, 5)
-        feats = [rng.normal(size=(t, 4)) for t in (9, 3, 6)]
+        feats = [rng.normal(size=(t, 4)) for t in (3, 6, 9)]
         batched, _ = forward_batch(params, feats)
         for f, lb in zip(feats, batched):
             (single,), _ = forward_batch(params, [f])
-            assert np.allclose(single, lb, atol=1e-12)
+            assert np.allclose(single, lb[:len(f)], atol=1e-12)
 
     def test_logits_do_not_depend_on_batch_mates(self):
         # a step runs at least two rows: numpy multiplies a single row by
@@ -201,23 +209,14 @@ class TestForward:
         (with_copy, _), _ = forward_batch(params, [long, long])
         for mate_lengths in ((5,), (3, 30)):
             mates = [rng.normal(size=(t, 4)) for t in mate_lengths]
-            logits, _ = forward_batch(params, [long] + mates)
-            assert np.array_equal(logits[0], with_copy), mate_lengths
+            logits, _ = forward_batch(params, mates + [long])
+            assert np.array_equal(logits[-1], with_copy), mate_lengths
 
-    def test_input_order_does_not_change_bits(self):
-        rng = np.random.default_rng(19)
-        config = ModelConfig(input_dim=4, vocab_size=3, num_layers=2, hidden_units=8)
+    def test_unsorted_batch_rejected(self):
+        config = ModelConfig(input_dim=2, vocab_size=2, num_layers=1, hidden_units=3)
         params = init_parameters(config, 9)
-        lengths = (9, 3, 14, 6, 1)
-        feats = [rng.normal(size=(t, 4)) for t in lengths]
-        weights = [rng.normal(size=(t, config.output_dim)) for t in lengths]
-        logits, cache = forward_batch(params, feats)
-        grads = backward_batch(params, cache, weights)
-        perm = [3, 0, 4, 2, 1]
-        shuffled, cache = forward_batch(params, [feats[i] for i in perm])
-        assert all(np.array_equal(shuffled[k], logits[i]) for k, i in enumerate(perm))
-        assert np.array_equal(backward_batch(params, cache, [weights[i] for i in perm]).flat,
-                              grads.flat)
+        with pytest.raises(ValueError, match="sorted shortest first"):
+            forward_batch(params, [np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((4, 2))])
 
 
 class TestDecode:
@@ -230,11 +229,10 @@ class TestDecode:
 
         def recording(params, feature_list, keep_cache=True):
             seen.append(feature_list)
-            logits = []
-            for feats in feature_list:
-                out = np.zeros((len(feats), params.config.output_dim))
-                out[0, int(feats[0, 0])] = 1.0
-                logits.append(out)
+            logits = np.zeros((len(feature_list), len(feature_list[-1]),
+                               params.config.output_dim))
+            for row, feats in enumerate(feature_list):
+                logits[row, 0, int(feats[0, 0])] = 1.0
             return logits, None
 
         monkeypatch.setattr(model, "forward_batch", recording)
@@ -307,9 +305,9 @@ class TestBackward:
             feats = rng.normal(size=(T, config.input_dim))
             weights = rng.normal(size=(T, config.output_dim))
             (logits,), cache = forward_batch(params, [feats])
-            grads = backward_batch(params, cache, [weights])
+            grads = backward_batch(params, cache, weights[None])
             for name in params.tensors:
-                fd = finite_difference(params, [feats], [weights], name)
+                fd = finite_difference(params, [feats], weights[None], name)
                 scale = max(np.abs(grads[name]).max(), np.abs(fd).max(), 1e-8)
                 err = np.abs(grads[name] - fd).max() / scale
                 worst = max(worst, err)
@@ -321,9 +319,9 @@ class TestBackward:
         rng = np.random.default_rng(17)
         config = ModelConfig(input_dim=2, vocab_size=2, num_layers=2, hidden_units=3)
         params = init_parameters(config, 6)
-        lengths = (4, 1, 6, 2)
+        lengths = (1, 2, 4, 6)
         feats = [rng.normal(size=(t, 2)) for t in lengths]
-        weights = [rng.normal(size=(t, config.output_dim)) for t in lengths]
+        weights = pad([rng.normal(size=(t, config.output_dim)) for t in lengths])
         _, cache = forward_batch(params, feats)
         grads = backward_batch(params, cache, weights)
         for name in params.tensors:
@@ -337,7 +335,7 @@ class TestBackward:
         params = init_parameters(config, 1)
         feats = rng.normal(size=(5, 3))
         (logits,), cache = forward_batch(params, [feats])
-        grads = backward_batch(params, cache, [np.zeros_like(logits)])
+        grads = backward_batch(params, cache, np.zeros_like(logits)[None])
         for name, grad in grads.tensors.items():
             assert np.all(grad == 0.0), name
 
@@ -348,9 +346,9 @@ class TestBackward:
         feats = rng.normal(size=(5, 3))
         weights = rng.normal(size=(5, config.output_dim))
         (logits,), cache = forward_batch(params, [feats])
-        g1 = backward_batch(params, cache, [weights])
+        g1 = backward_batch(params, cache, weights[None])
         (logits,), cache = forward_batch(params, [feats])
-        g2 = backward_batch(params, cache, [2.0 * weights])
+        g2 = backward_batch(params, cache, 2.0 * weights[None])
         for name in g1.tensors:
             assert np.allclose(2.0 * g1[name], g2[name], atol=1e-12)
 
@@ -358,14 +356,14 @@ class TestBackward:
         rng = np.random.default_rng(16)
         config = ModelConfig(input_dim=4, vocab_size=2, num_layers=2, hidden_units=5)
         params = init_parameters(config, 4)
-        feats = [rng.normal(size=(t, 4)) for t in (8, 3, 5)]
-        weights = [rng.normal(size=(t, config.output_dim)) for t in (8, 3, 5)]
+        feats = [rng.normal(size=(t, 4)) for t in (3, 5, 8)]
+        weights = [rng.normal(size=(t, config.output_dim)) for t in (3, 5, 8)]
         _, cache = forward_batch(params, feats)
-        batched = backward_batch(params, cache, weights)
+        batched = backward_batch(params, cache, pad(weights))
         summed = ModelParameters(config)
         for f, w in zip(feats, weights):
             _, cache1 = forward_batch(params, [f])
-            summed.flat += backward_batch(params, cache1, [w]).flat
+            summed.flat += backward_batch(params, cache1, w[None]).flat
         for name in summed.tensors:
             assert np.allclose(summed[name], batched[name], atol=1e-10), name
 
@@ -375,7 +373,16 @@ class TestBackward:
         other = init_parameters(config, 2)
         (logits,), cache = forward_batch(params, [np.zeros((4, 3))])
         with pytest.raises(ValueError, match="cache"):
-            backward_batch(other, cache, [np.zeros_like(logits)])
+            backward_batch(other, cache, np.zeros_like(logits)[None])
+
+    def test_gradient_of_another_shape_rejected(self):
+        config = ModelConfig(input_dim=3, vocab_size=2, num_layers=1, hidden_units=4)
+        params = init_parameters(config, 1)
+        logits, cache = forward_batch(params, [np.zeros((2, 3)), np.zeros((4, 3))])
+        assert logits.shape == (2, 4, 3)
+        for shape in [(2, 2, 3), (2, 4, 2), (1, 4, 3), (4, 3)]:
+            with pytest.raises(ValueError, match="logits gradient"):
+                backward_batch(params, cache, np.zeros(shape))
 
 
 class TestCheckpoint:

@@ -9,11 +9,14 @@ rejections.jsonl and stats.txt it writes and its standard output
 that manifest. For the variants orig-no-spaces and ipa-pause-boundaries
 (pause gap 0.05 s), it runs `sweep --fast --sizes 10,20,40` and then
 `train --fast`, with seed 7 and max_epochs = patience = 3, at one BLAS
-thread. Each of the 8 runs is then evaluated on dev and test, greedy and
-with beam 8, and transcribes tone0000-tone0005 both ways; those outputs are
-kept under OUT_DIR/evaluations and OUT_DIR/transcripts. Each run's run.json
-(without audio_root, the absolute corpus path) and epochs.jsonl (without
-the wall-clock seconds) are kept under OUT_DIR/records.
+thread. One more run, orig-no-spaces-3x250, runs `train` at the default
+model size (3x250, which rounds differently from --fast) with seed 7 and
+max_epochs = patience = 2. Each of the 9 runs is then evaluated on dev and
+test, greedy and with beam 8, and transcribes tone0000-tone0005 both ways;
+those outputs are kept under OUT_DIR/evaluations and OUT_DIR/transcripts.
+Each run's run.json (without audio_root, the absolute corpus path) and
+epochs.jsonl (without the wall-clock seconds) are kept under
+OUT_DIR/records.
 
 Prints one line per run: its name, the sha256 of its checkpoint.bin, the
 test LER, best_dev_ler and best_epoch, and writes the same lines to
@@ -44,6 +47,8 @@ from tinyasr.synthetic import generate_tone_corpus  # noqa: E402
 EXPECTED = Path(__file__).resolve().parent / "reference_summary.tsv"
 VARIANTS = ("orig-no-spaces", "ipa-pause-boundaries")
 SIZES = (10, 20, 40)
+# (variant, run name, max_epochs = patience) of the run at the default size
+FULL_SIZE = ("orig-no-spaces", "orig-no-spaces-3x250", 2)
 WAVS = [f"tone{i:04d}.wav" for i in range(6)]
 
 
@@ -57,20 +62,21 @@ def tinyasr(*argv) -> str:
     return out.getvalue()
 
 
-def write_config(out_dir: Path, variant: str) -> Path:
+def write_config(out_dir: Path, variant: str, name=None, epochs=3) -> Path:
+    name = name or variant
     config = {
         "schema_version": 1,
-        "name": variant,
+        "name": name,
         "corpus": "corpus/utterances.jsonl",
         "variant": variant,
         "out_dir": "runs",
         "seed": 7,
-        "train": {"max_epochs": 3, "patience": 3},
+        "train": {"max_epochs": epochs, "patience": epochs},
     }
     if variant == "ipa-pause-boundaries":
         config.update(g2p_rules="corpus/g2p.tsv", alignments="corpus/words.jsonl",
                       pause_gap_threshold=0.05)
-    path = out_dir / f"{variant}.json"
+    path = out_dir / f"{name}.json"
     path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     return path
 
@@ -117,18 +123,23 @@ def reference_runs(out_dir: Path) -> None:
     text = tinyasr("prepare", str(out_dir / "corpus"), "--out", str(prepared))
     (prepared / "stdout.txt").write_text(text.replace(str(out_dir) + os.sep, ""),
                                          encoding="utf-8")
+    names = []
+    for variant in VARIANTS:
+        config = str(write_config(out_dir, variant))
+        tinyasr("sweep", "--config", config, "--fast",
+                "--sizes", ",".join(str(s) for s in SIZES))
+        tinyasr("train", "--config", config, "--fast")
+        names += [f"{variant}-n{size}" for size in SIZES] + [variant]
+    variant, name, epochs = FULL_SIZE
+    tinyasr("train", "--config", str(write_config(out_dir, variant, name, epochs)))
+    names.append(name)
+
     (out_dir / "transcripts").mkdir()
     with open(out_dir / "summary.tsv", "w", encoding="utf-8") as summary:
-        for variant in VARIANTS:
-            config = str(write_config(out_dir, variant))
-            tinyasr("sweep", "--config", config, "--fast",
-                    "--sizes", ",".join(str(s) for s in SIZES))
-            tinyasr("train", "--config", config, "--fast")
-            names = [f"{variant}-n{size}" for size in SIZES] + [variant]
-            for name in names:
-                line = check_run(out_dir, out_dir / "runs" / name)
-                print(line, flush=True)
-                summary.write(line + "\n")
+        for name in names:
+            line = check_run(out_dir, out_dir / "runs" / name)
+            print(line, flush=True)
+            summary.write(line + "\n")
 
 
 def differing_runs(summary: Path) -> list:
