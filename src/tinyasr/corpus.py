@@ -116,8 +116,11 @@ def filter_duration(duration_s: float):
     """Return a rejection reason for out-of-bounds durations, else None.
 
     Bounds are inclusive: exactly 0.400 s and exactly 10.000 s are kept.
+    A duration whose millisecond count overflows a float is out of bounds.
     """
-    duration_ms = round(duration_s * 1000)
+    duration_ms = duration_s * 1000
+    if math.isfinite(duration_ms):
+        duration_ms = round(duration_ms)
     if duration_ms < _MIN_DURATION_MS:
         return REASON_TOO_SHORT
     if duration_ms > _MAX_DURATION_MS:
@@ -149,12 +152,15 @@ def parse_eaf_subset(path, tier=None) -> list:
         value = slot.get("TIME_VALUE")
         if slot_id is not None and value is not None:
             try:
-                slots[slot_id] = int(value)
+                slots[slot_id] = int(value) / 1000.0
             except ValueError as exc:
                 raise DataError(
                     f"{path.name}: time slot '{slot_id}' has a TIME_VALUE {value!r} "
                     f"that is not whole milliseconds"
                 ) from exc
+            except OverflowError as exc:
+                raise DataError(f"{path.name}: time slot '{slot_id}' has a TIME_VALUE "
+                                "too large for a float") from exc
 
     def resolve(ref, ann_id):
         if ref not in slots:
@@ -162,7 +168,7 @@ def parse_eaf_subset(path, tier=None) -> list:
                 f"{path.name}: annotation '{ann_id}' references "
                 f"unknown time slot '{ref}'"
             )
-        return slots[ref] / 1000.0
+        return slots[ref]
 
     records = []
     count = 0
@@ -354,6 +360,9 @@ def read_manifest(path) -> list:
             raise DataError(
                 f"{name} line {lineno}: start_s {start_s} is not before end_s {end_s}"
             )
+        if not math.isfinite(float(end_s) - float(start_s)):
+            raise DataError(f"{name} line {lineno}: the span from start_s to end_s "
+                            "is too long to be a finite number of seconds")
         records.append(UtteranceRecord(
             id=utt_id,
             audio=row["audio"],

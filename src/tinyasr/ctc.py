@@ -8,11 +8,11 @@ backward variables as one stack of rows, the backward ones as the forward
 recursion on each row reversed within its length; beam search scores a
 sequence as a batch of one. Padding never reaches a row's own values, so
 each row's loss and gradient are bit-identical to that row run alone.
+Both decoders return one utterance's label ids as a plain list.
 """
 
 import numbers
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,6 @@ from .errors import DataError
 
 BLANK_ID = 0
 NEG_INF = -np.inf
-
-
-@dataclass
-class DecodedSequence:
-    labels: list
-    score: float
 
 
 def log_softmax(logits):
@@ -52,10 +46,14 @@ def min_frames(target) -> int:
     return len(target) + repeats
 
 
-def _extended(target):
-    ext = np.zeros(2 * len(target) + 1, dtype=np.int64)
-    ext[1::2] = target
-    return ext
+def _extended_batch(targets):
+    """Each target with a blank before, between and after its labels, as
+    rows of one (B, S) array padded with blanks, and each row's length."""
+    lengths = [2 * len(target) + 1 for target in targets]
+    ext = np.zeros((len(targets), max(lengths)), dtype=np.int64)
+    for row, target in enumerate(targets):
+        ext[row, 1:lengths[row]:2] = target
+    return ext, lengths
 
 
 def reverse_padded(x, lengths):
@@ -97,6 +95,15 @@ def _log_alpha(lp, ext, frames, ext_lengths):
     return alpha
 
 
+def _total_log_prob(alpha, frames, ext_lengths):
+    """Each row's total log-probability, from its forward variables at its
+    last frame: complete paths end on the last label, if there is one, or
+    on the final blank. -inf if no path reaches either."""
+    rows, last, ends = np.arange(len(alpha)), np.asarray(frames) - 1, np.asarray(ext_lengths)
+    return np.logaddexp(np.where(ends > 1, alpha[rows, last, ends - 2], NEG_INF),
+                        alpha[rows, last, ends - 1])
+
+
 def ctc_loss(logits, frames, targets):
     """Negative log-likelihood of each row's target under its logits, with
     the exact gradient, via the log-space forward-backward recursion over
@@ -124,10 +131,7 @@ def ctc_loss(logits, frames, targets):
                 f"{len(target)} labels (needs at least {need})"
             )
 
-    ext_lengths = [2 * len(target) + 1 for target in targets]
-    ext = np.zeros((B, max(ext_lengths)), dtype=np.int64)
-    for row, target in enumerate(targets):
-        ext[row, :ext_lengths[row]] = _extended(target)
+    ext, ext_lengths = _extended_batch(targets)
     lp = log_softmax(logits)
 
     # alpha and beta in one recursion over 2B rows; beta includes the
@@ -139,55 +143,44 @@ def ctc_loss(logits, frames, targets):
     alpha = both[:B]
     beta = reverse_padded(reverse_padded(both[B:], frames).transpose(0, 2, 1),
                           ext_lengths).transpose(0, 2, 1)
-    rows = np.arange(B)
-    last = np.asarray(frames) - 1
-    ends = np.asarray(ext_lengths)
-    # end on the last label, if there is one, or blank
-    log_p = np.logaddexp(np.where(ends > 1, alpha[rows, last, ends - 2], NEG_INF),
-                         alpha[rows, last, ends - 1])
+    log_p = _total_log_prob(alpha, frames, ext_lengths)
     gamma = alpha + beta - np.take_along_axis(lp, ext[:, None, :], axis=2)
 
     # each label's occupancy sums its columns in column order, starting
     # from -inf: logaddexp(-inf, x) == x, so this is logaddexp.reduce
     occupancy = np.full((B, T, K), NEG_INF)
+    rows = np.arange(B)
     for s in range(ext.shape[1]):
         k = ext[:, s]
         occupancy[rows, :, k] = np.logaddexp(occupancy[rows, :, k], gamma[:, :, s])
     grad = np.exp(lp) - np.exp(occupancy - log_p[:, None, None])
-    grad[np.arange(T) > last[:, None]] = 0.0
+    grad[np.arange(T)[None, :] >= np.asarray(frames)[:, None]] = 0.0
     return -log_p, grad
 
 
 def _sequence_log_prob(lp, labels) -> float:
-    """Total log-probability under the per-frame log-probabilities lp of
-    all paths collapsing to the label sequence; -inf if the sequence
-    cannot be emitted in T frames."""
-    if lp.shape[0] < min_frames(labels):
-        return NEG_INF
-    if len(labels) == 0:
-        return float(lp[:, BLANK_ID].sum())
-    ext = _extended(labels)
-    alpha = _log_alpha(lp[None], ext[None], [lp.shape[0]], [len(ext)])[0]
-    return float(np.logaddexp.reduce(alpha[-1, -2:]))
+    """Total log-probability under the per-frame log-probabilities lp
+    (T, K) of all paths collapsing to the label sequence; -inf if the
+    sequence cannot be emitted in T frames."""
+    ext, ext_lengths = _extended_batch([labels])
+    frames = [len(lp)]
+    alpha = _log_alpha(lp[None], ext, frames, ext_lengths)
+    return float(_total_log_prob(alpha, frames, ext_lengths)[0])
 
 
-def greedy_decode(logits) -> DecodedSequence:
-    """Best-path decoding: per-frame argmax (ties to the lowest index),
-    then collapse. The score is the best path's log-probability."""
-    lp = log_softmax(np.asarray(logits, dtype=np.float64))
-    path = lp.argmax(axis=1)
-    score = float(lp[np.arange(len(path)), path].sum())
-    return DecodedSequence(labels=collapse(path), score=score)
+def greedy_decode(logits) -> list:
+    """Best-path decoding: per-frame argmax of the log-probabilities (ties
+    to the lowest index), then collapse."""
+    return collapse(log_softmax(np.asarray(logits, dtype=np.float64)).argmax(axis=1).tolist())
 
 
-def beam_decode(logits, beam_width: int) -> DecodedSequence:
+def beam_decode(logits, beam_width: int) -> list:
     """Prefix beam search over collapsed prefixes, merging the blank and
     non-blank path probabilities of each prefix.
 
-    The returned score is the exact sequence log-probability of the chosen
-    sequence. When pruning loses enough mass that the search would come out
-    below the greedy sequence, the greedy sequence is returned instead, so
-    the decoder never scores under best-path decoding."""
+    When pruning loses enough mass that the chosen sequence is less
+    probable than the greedy sequence, the greedy sequence is returned
+    instead, so the decoder never does worse than best-path decoding."""
     if beam_width < 1:
         raise DataError(f"beam width must be >= 1, got {beam_width}")
     lp = log_softmax(np.asarray(logits, dtype=np.float64))
@@ -218,9 +211,7 @@ def beam_decode(logits, beam_width: int) -> DecodedSequence:
         beams = dict(ranked[:beam_width])
 
     labels = list(next(iter(beams)))  # beams stay in rank order
-    score = _sequence_log_prob(lp, labels)
-    greedy = collapse(lp.argmax(axis=1))
-    greedy_score = _sequence_log_prob(lp, greedy)
-    if greedy_score > score:
-        return DecodedSequence(labels=greedy, score=greedy_score)
-    return DecodedSequence(labels=labels, score=score)
+    greedy = collapse(lp.argmax(axis=1).tolist())
+    if _sequence_log_prob(lp, greedy) > _sequence_log_prob(lp, labels):
+        return greedy
+    return labels

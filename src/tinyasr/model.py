@@ -197,7 +197,7 @@ def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
 
 def decode(params: ModelParameters, feature_list, beam_width=None):
     """Decode each (T_i, D) array greedily, or by prefix beam search when
-    beam_width is set; returns one DecodedSequence per input, in input
+    beam_width is set; returns one list of label ids per input, in input
     order. The only inference path: dev LER, evaluate and transcribe all
     decode through it.
 

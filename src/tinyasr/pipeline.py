@@ -307,8 +307,7 @@ def _report_split(run_dir, run_info, split, params, vocab, items, records,
     results row and the report."""
     decoded = decode(params, [item.features for item in items], beam_width)
     entries = []
-    for item, result in zip(items, decoded):
-        labels = result.labels
+    for item, labels in zip(items, decoded):
         entries.append((item.id, tuple(vocab.labels[i] for i in item.target),
                         tuple(vocab.labels[i] for i in labels), vocab.decode(labels)))
     report = build_report(entries, "greedy" if beam_width is None else "beam")
@@ -413,7 +412,7 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
         if index in errors:
             outputs.append((str(wav_path), None, errors[index]))
             continue
-        text = vocab.decode(decoded[index].labels)
+        text = vocab.decode(decoded[index])
         wav_path.with_suffix(".txt").write_text(text + "\n", encoding="utf-8")
         outputs.append((str(wav_path), text, None))
     return outputs

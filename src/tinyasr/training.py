@@ -161,7 +161,7 @@ class TrainResult:
 
 def dev_label_error_rate(params, items) -> float:
     decoded = decode(params, [item.features for item in items])
-    pairs = [(item.target, result.labels) for item, result in zip(items, decoded)]
+    pairs = [(item.target, labels) for item, labels in zip(items, decoded)]
     return corpus_ler(pairs, [item.id for item in items])
 
 

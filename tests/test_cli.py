@@ -5,13 +5,15 @@ import re
 import shutil
 import struct
 import tempfile
+import xml.etree.ElementTree as ET
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import build_eaf
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyasr import config as config_module
@@ -1118,6 +1120,117 @@ class TestAnyDamagedManifestLine:
                 code = main(["prepare", str(corpus), "--out", str(Path(tmp) / "out")])
         assert code in (0, 2), (bytes(line), err.getvalue())
         assert err.getvalue().count("error: ") <= 1 and "Traceback" not in err.getvalue()
+
+
+def _prepare(corpus, out):
+    """Run prepare; returns its exit code and standard error."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["prepare", str(corpus), "--out", str(out)])
+    return code, err.getvalue()
+
+
+def _corpus_dir(root, files):
+    """A corpus directory with a 2 s silent WAV and the given text files."""
+    corpus = root / "corpus"
+    corpus.mkdir()
+    for name, text in files.items():
+        (corpus / name).write_text(text, encoding="utf-8")
+        write_wav((corpus / name).with_suffix(".wav"), AudioBuffer(np.zeros(32000), 16000))
+    return corpus
+
+
+# time slot values of about +-1.7e308 ms, and one beyond any float
+HUGE_MS = "17" + "0" * 307
+BEYOND_A_FLOAT_MS = "9" * 400
+KEPT_ANNOTATION = ("a1", 250, 1000, "ej ku?pi")
+
+
+class TestTimesBeyondAFloat:
+    @staticmethod
+    def manifest(tmp_path, start_s, end_s):
+        kept = json.loads(VALID_MANIFEST_LINE)
+        lines = [kept, {**kept, "id": "u2", "start_s": start_s, "end_s": end_s}]
+        return _corpus_dir(tmp_path, {"a.jsonl": "".join(json.dumps(line) + "\n"
+                                                         for line in lines)})
+
+    def test_manifest_span_length_beyond_a_float_names_the_line(self, tmp_path):
+        corpus = self.manifest(tmp_path, -1.7e308, 1.7e308)
+        code, err = _prepare(corpus, tmp_path / "out")
+        assert code == 2 and err.count("error: ") == 1 and "Traceback" not in err
+        assert "a.jsonl line 2" in err
+
+    def test_manifest_end_whose_milliseconds_overflow_is_too_long(self, tmp_path):
+        corpus = self.manifest(tmp_path, 0.0, 1e306)
+        assert _prepare(corpus, tmp_path / "out") == (0, "")
+        assert (tmp_path / "out" / "rejections.jsonl").read_text(encoding="utf-8") \
+            == '{"id": "u2", "reason": "too-long"}\n'
+
+    def test_eaf_slots_whose_milliseconds_overflow_are_too_long(self, tmp_path):
+        eaf = build_eaf([KEPT_ANNOTATION, ("a2", "-" + HUGE_MS, HUGE_MS, "ej")])
+        corpus = _corpus_dir(tmp_path, {"session.eaf": eaf})
+        assert _prepare(corpus, tmp_path / "out") == (0, "")
+        assert (tmp_path / "out" / "rejections.jsonl").read_text(encoding="utf-8") \
+            == '{"id": "session_a2", "reason": "too-long"}\n'
+
+    def test_eaf_time_value_beyond_a_float_names_the_slot(self, tmp_path):
+        eaf = build_eaf([KEPT_ANNOTATION, ("a2", 1000, BEYOND_A_FLOAT_MS, "ej")])
+        corpus = _corpus_dir(tmp_path, {"session.eaf": eaf})
+        code, err = _prepare(corpus, tmp_path / "out")
+        assert code == 2 and err.count("error: ") == 1 and "Traceback" not in err
+        assert "session.eaf" in err and "'ts4'" in err
+
+    def test_evaluate_with_a_train_span_length_beyond_a_float_exits_2(
+            self, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        damaged = json.loads((run / "run.json").read_text())["splits"]["train"][0]
+        lines = (run / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(line) for line in lines]
+        (run / "manifest.jsonl").write_text("".join(
+            json.dumps({**row, "start_s": -1.7e308, "end_s": 1.7e308}
+                       if row["id"] == damaged else row) + "\n" for row in rows),
+            encoding="utf-8")
+        assert main(["evaluate", "--run", str(run), "--split", "test"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "Traceback" not in err
+        assert "manifest.jsonl line" in err
+
+
+EAF_FIELDS = ([("TIME_SLOT", slot, "TIME_VALUE") for slot in range(4)]
+              + [("ALIGNABLE_ANNOTATION", ann, key) for ann in range(2)
+                 for key in ("TIME_SLOT_REF1", "TIME_SLOT_REF2", "ANNOTATION_ID")]
+              + [("ANNOTATION_VALUE", ann, None) for ann in range(2)])
+# None removes an attribute; the integers run past a float both ways
+EAF_VALUES = (st.none() | st.text(max_size=4)
+              | st.sampled_from(["", "x", "1.5", "1e3", "-1", "ts1", "ts9", HUGE_MS,
+                                 "-" + HUGE_MS, BEYOND_A_FLOAT_MS, "-" + BEYOND_A_FLOAT_MS])
+              | (st.integers() | HUGE_INTEGERS).map(str))
+
+
+class TestAnyDamagedEaf:
+    # attributes and annotation values of a valid EAF file set, or
+    # attributes removed: prepare exits 0 or 2 with at most one error line
+    @settings(max_examples=100, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(EAF_FIELDS), EAF_VALUES),
+                          min_size=1, max_size=3))
+    @example(edits=[(("TIME_SLOT", 3, "TIME_VALUE"), BEYOND_A_FLOAT_MS)])
+    def test_prepare_keeps_the_exit_codes(self, edits):
+        root = ET.fromstring(build_eaf([KEPT_ANNOTATION, ("a2", 1000, 1800, "ej")]))
+        for (tag, index, key), value in edits:
+            element = list(root.iter(tag))[index]
+            if key is None:
+                element.text = value
+            elif value is None:
+                element.attrib.pop(key, None)
+            else:
+                element.set(key, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            eaf = ET.tostring(root, encoding="unicode")
+            corpus = _corpus_dir(Path(tmp), {"session.eaf": eaf})
+            code, err = _prepare(corpus, Path(tmp) / "out")
+        assert code in (0, 2), (edits, err)
+        assert err.count("error: ") <= 1 and "Traceback" not in err
 
 
 # JSON nested deeper than the parser's recursion limit

@@ -241,6 +241,8 @@ class TestDurationFilter:
         (0.399, "too-short"),
         (10.001, "too-long"),
         (2.5 - 2.1, None),  # float noise around 0.400 must not reject
+        (1e306, "too-long"),  # its milliseconds overflow a float
+        (-1e306, "too-short"),
     ])
     def test_bounds(self, duration, expected):
         assert filter_duration(duration) == expected

@@ -258,7 +258,7 @@ class TestDecode:
         lengths = [7, 3, 7, 1, 20, 3] * 5
         feature_list = [np.full((t, 1), float(i + 1)) for i, t in enumerate(lengths)]
         decoded = decode(self.params(vocab_size=len(lengths)), feature_list)
-        assert [result.labels for result in decoded] == [[i + 1] for i in range(30)]
+        assert decoded == [[i + 1] for i in range(30)]
         # sorted by length, equal lengths in input order
         assert [len(batch) for batch in batches] == [16, 14]
         assert [int(feats[0, 0]) - 1 for batch in batches for feats in batch] == sorted(
@@ -272,8 +272,8 @@ class TestDecode:
         items, _ = pipeline._load_split(run, info, "train", vocab)
         feature_list = [item.features for item in items]
         assert len(feature_list) > model.DECODE_BATCH
-        alone = [decode(params, [feats], beam_width)[0].labels for feats in feature_list]
-        assert [r.labels for r in decode(params, feature_list, beam_width)] == alone
+        alone = [decode(params, [feats], beam_width)[0] for feats in feature_list]
+        assert decode(params, feature_list, beam_width) == alone
 
     def test_inference_keeps_no_cache(self):
         config = ModelConfig(input_dim=123, vocab_size=20, num_layers=3, hidden_units=64)

@@ -19,9 +19,12 @@ epochs.jsonl (without the wall-clock seconds) are kept under
 OUT_DIR/records.
 
 Prints one line per run: its name, the sha256 of its checkpoint.bin, the
-test LER, best_dev_ler and best_epoch, and writes the same lines to
-OUT_DIR/summary.tsv. It then compares that summary with the expected one,
-tools/reference_summary.tsv, and exits 1 naming each run whose line differs.
+test LER, best_dev_ler, best_epoch, and one sha256 over its kept evaluate
+reports and transcripts (each file's name and bytes, in sorted name order),
+and writes the same lines to OUT_DIR/summary.tsv. It then compares that
+summary with the expected one, tools/reference_summary.tsv, and exits 1
+naming each run whose line differs, so a change to any kept report or
+transcript fails the check by itself.
 Run it on two trees and compare the outputs with
 `diff -r --exclude=runs OLD NEW` to see whether a change moved any bit; a
 change that moves rounding on purpose updates tools/reference_summary.tsv.
@@ -91,12 +94,17 @@ def check_run(out_dir: Path, run: Path) -> str:
             for suffix in ("json", "txt"):
                 shutil.copyfile(run / f"report-{split}.{suffix}",
                                 kept / f"{decoder}-{split}.{suffix}")
+    outputs = list(kept.iterdir())
     wavs = [str(out_dir / "corpus" / "wav" / name) for name in WAVS]
     for decoder, beam in (("greedy", ()), ("beam", ("--beam", "8"))):
         text = tinyasr("transcribe", "--run", str(run), *beam, *wavs)
         text = text.replace(str(out_dir / "corpus" / "wav") + os.sep, "")
-        (out_dir / "transcripts" / f"{run.name}-{decoder}.tsv").write_text(
-            text, encoding="utf-8")
+        transcript = out_dir / "transcripts" / f"{run.name}-{decoder}.tsv"
+        transcript.write_text(text, encoding="utf-8")
+        outputs.append(transcript)
+    outputs_digest = hashlib.sha256()
+    for path in sorted(outputs, key=lambda p: p.name):
+        outputs_digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
 
     records = out_dir / "records" / run.name
     records.mkdir(parents=True)
@@ -113,7 +121,8 @@ def check_run(out_dir: Path, run: Path) -> str:
     digest = hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest()
     results = info["results"]
     return (f"{run.name}\t{digest}\tler={results['ler']!r}\t"
-            f"best_dev_ler={results['best_dev_ler']!r}\tbest_epoch={results['best_epoch']}")
+            f"best_dev_ler={results['best_dev_ler']!r}\tbest_epoch={results['best_epoch']}\t"
+            f"outputs={outputs_digest.hexdigest()}")
 
 
 def reference_runs(out_dir: Path) -> None:
