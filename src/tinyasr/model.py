@@ -1,14 +1,17 @@
 """Bidirectional LSTM stack mapping feature frames to per-frame label logits.
 
-Forward and backward passes are implemented directly in numpy (float64),
-with exact backpropagation through time. The two directions of a layer run
-in one time loop, stacked on a leading axis of 2. A batch comes sorted by
-length, shortest first, and stays padded to the longest from the input to
-the logits, through the CTC loss and back; the backward direction reverses
-each row within its true length, so padding always sits at the processing
-tail. Each time step then runs only the rows still inside their length (at
-least two), a suffix of the batch shared by both directions, so padding
-costs next to no recurrence work and never touches valid frames, either way.
+Forward and backward passes are implemented directly in numpy, with exact
+backpropagation through time, in the dtype of the parameter vector:
+float32, as init_parameters and load_checkpoint give it. The kernels hold
+no dtype of their own, so float64 parameters run the same code in float64.
+The two directions of a layer run in one time loop, stacked on a leading
+axis of 2. A batch comes sorted by length, shortest first, and stays
+padded to the longest from the input to the logits, through the CTC loss
+and back; the backward direction reverses each row within its true
+length, so padding always sits at the processing tail. Each time step
+then runs only the rows still inside their length (at least two), a
+suffix of the batch shared by both directions, so padding costs next to
+no recurrence work and never touches valid frames, either way.
 """
 
 import json
@@ -24,7 +27,7 @@ from .errors import ConfigError, DataError
 from .variants import LabelVocabulary
 
 CHECKPOINT_MAGIC = b"TASRMODL"
-CONTAINER_VERSION = 2
+CONTAINER_VERSION = 3
 # decode's batches: at most this many utterances and this many padded
 # frames, which is a full batch of the longest utterances `prepare` keeps
 DECODE_BATCH = 16
@@ -50,14 +53,15 @@ class ModelConfig:
 
 
 class ModelParameters:
-    """One float64 vector, flat, in parameter_shapes order, with tensors as
-    its named views. Zeros unless given a vector of exactly that length."""
+    """One vector, flat, in parameter_shapes order, with tensors as its
+    named views; its dtype sets the model's arithmetic. float32 zeros
+    unless given a vector of exactly that length, kept in its own dtype."""
 
     def __init__(self, config: ModelConfig, flat=None):
         shapes = parameter_shapes(config)
         ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
         self.config = config
-        self.flat = np.zeros(ends[-1]) if flat is None else flat.reshape(ends[-1])
+        self.flat = np.zeros(ends[-1], np.float32) if flat is None else flat.reshape(ends[-1])
         self.tensors = {name: part.reshape(shape) for (name, shape), part
                         in zip(shapes.items(), np.split(self.flat, ends[:-1]))}
 
@@ -81,8 +85,9 @@ def parameter_shapes(config: ModelConfig) -> dict:
 
 def init_parameters(config: ModelConfig, seed: int) -> ModelParameters:
     """Uniform Glorot weights, zero biases except forget-gate bias of 1.
-    Weight matrices are drawn layer by layer, direction by direction, W
-    before R, then the projection."""
+    Weight matrices are drawn in float64 layer by layer, direction by
+    direction, W before R, then the projection, and each value is stored
+    rounded once to float32."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     H, layers = config.hidden_units, range(config.num_layers)
     params = ModelParameters(config)
@@ -135,8 +140,8 @@ def _layer_forward(params, layer, x, lengths, starts):
     xs = np.stack([x, reverse_padded(x, lengths)])
 
     gates = (xs.reshape(2, B * T, D) @ Wt).reshape(2, B, T, 4 * H)
-    cs = np.zeros((2, B, T + 1, H))
-    hs = np.zeros((2, B, T + 1, H))
+    cs = np.zeros((2, B, T + 1, H), gates.dtype)
+    hs = np.zeros((2, B, T + 1, H), gates.dtype)
     for t, s in enumerate(starts):
         z = gates[:, s:, t]
         z[...] = z + hs[:, s:, t] @ Rt + b
@@ -154,11 +159,13 @@ def _layer_forward(params, layer, x, lengths, starts):
 def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
     """Run the stack over a batch of (T_b, D) arrays, sorted shortest first.
 
-    Returns (logits (B, T, V+1), cache): row b holds utterance b's logits
-    in its first T_b frames, T being the longest; a frame past them holds
-    the projection bias. The cache, which backward_batch reads, holds every
-    layer's arrays; without keep_cache it is None and each layer's arrays
-    are freed once the next layer has its input.
+    The features are padded into the parameters' dtype, which the logits
+    and the cache keep. Returns (logits (B, T, V+1), cache): row b holds
+    utterance b's logits in its first T_b frames, T being the longest; a
+    frame past them holds the projection bias. The cache, which
+    backward_batch reads, holds every layer's arrays; without keep_cache it
+    is None and each layer's arrays are freed once the next layer has its
+    input.
     """
     config = params.config
     for feats in feature_list:
@@ -174,7 +181,7 @@ def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
     if lengths != sorted(lengths):
         raise ValueError("forward_batch takes a batch sorted shortest first")
     B, T = len(lengths), lengths[-1]
-    x = np.zeros((B, T, config.input_dim))
+    x = np.zeros((B, T, config.input_dim), params.flat.dtype)
     for row, feats in enumerate(feature_list):
         x[row, :lengths[row]] = feats
     # step t runs rows starts[t]:, those still inside their length, but never
@@ -239,8 +246,8 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, starts, grads):
     dhs = np.stack([d_out[..., :H], reverse_padded(d_out[..., H:], lengths)])
 
     dz = np.zeros_like(gates)
-    dh_next = np.zeros((2, B, H))
-    dc_next = np.zeros((2, B, H))
+    dh_next = np.zeros((2, B, H), gates.dtype)
+    dc_next = np.zeros((2, B, H), gates.dtype)
     for t in range(T - 1, -1, -1):
         s = starts[t]
         g = gates[:, s:, t]
@@ -270,7 +277,8 @@ def _layer_backward(params, layer, layer_cache, d_out, lengths, starts, grads):
 def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits):
     """Exact gradients of a scalar loss w.r.t. every parameter, given the
     loss gradient on forward_batch's padded logits (B, T, V+1), exactly 0.0
-    past each row's frames as ctc.ctc_loss gives it, as a ModelParameters."""
+    past each row's frames as ctc.ctc_loss gives it, as a ModelParameters
+    in the parameters' dtype; the gradient is cast to that dtype once."""
     if cache.params is not params:
         raise ValueError("forward cache does not belong to these parameters")
     config = params.config
@@ -278,7 +286,8 @@ def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits):
     if dlogits.shape != shape:
         raise ValueError(f"logits gradient {dlogits.shape} does not match the batch's {shape}")
 
-    grads = ModelParameters(config)
+    grads = ModelParameters(config, np.zeros_like(params.flat))
+    dlogits = dlogits.astype(params.flat.dtype, copy=False)
     flat_dl = dlogits.reshape(-1, config.output_dim)
     np.matmul(flat_dl.T, cache.top.reshape(-1, 2 * config.hidden_units), out=grads["proj.W"])
     flat_dl.sum(axis=0, out=grads["proj.b"])
@@ -292,7 +301,7 @@ def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits):
 
 def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
     """Layout: magic, version, json header (config, vocabulary, tensor
-    list), then the parameter vector as little-endian float64, which holds
+    list), then the parameter vector as little-endian float32, which holds
     the tensors in header order."""
     header = {
         "config": asdict(params.config),
@@ -304,7 +313,7 @@ def save_checkpoint(path, params: ModelParameters, vocabulary) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(blob)))
         fh.write(blob)
-        params.flat.astype("<f8", copy=False).tofile(fh)
+        params.flat.astype("<f4", copy=False).tofile(fh)
 
 
 def load_checkpoint(path):
@@ -329,7 +338,7 @@ def load_checkpoint(path):
                 raise DataError(f"{path}: vocabulary does not match the model config")
             vocabulary = LabelVocabulary(labels=tuple(labels))
             # to the end of the file: the file, not the header, bounds the read
-            params = ModelParameters(config, np.fromfile(fh, dtype="<f8"))
+            params = ModelParameters(config, np.fromfile(fh, dtype="<f4"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (struct.error, ValueError, RecursionError) as exc:

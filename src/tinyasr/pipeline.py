@@ -14,6 +14,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .audio import read_wav, slice_audio, wav_info
 from .config import ExperimentConfig, check_section
 from .corpus import read_manifest, write_manifest
@@ -34,6 +36,9 @@ from .variants import (
 RUN_FILE = "run.json"
 # the reduced model of --fast, in place of the config's model section
 FAST_MODEL = {"num_layers": 2, "hidden_units": 64}
+# the BLAS thread variables: the thread count changes a checkpoint's bytes
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 # what evaluate and transcribe read back from a run record, by type
 _RUN_TYPES = {"experiment": str, "variant": str, "audio_root": str,
               "pause_gap_threshold": float, "sample_rate": int, "splits": dict}
@@ -198,6 +203,7 @@ def run_experiment(config: ExperimentConfig, fast, corpus: _Corpus, items,
         "train": asdict(config.train),
         "splits": {name: [r.id for r in part] for name, part in parts.items()},
         "subset": subset,
+        "environment": _environment(),
     }
     _write_run_info(run_dir, run_info)
 
@@ -232,6 +238,14 @@ def train_experiment(config: ExperimentConfig, fast=False, run_dir=None) -> Resu
                          config.name)
     _append_results(config.out_dir, row)
     return row
+
+
+def _environment() -> dict:
+    """What a run's bytes depend on beyond its config and data: the numpy
+    and BLAS builds, and the BLAS thread variables (None when unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
 def _write_run_info(run_dir: Path, info: dict) -> None:

@@ -85,7 +85,7 @@ class TrainItem:
     """One utterance ready for the training loop."""
 
     id: str
-    features: np.ndarray  # (T, D) float64
+    features: np.ndarray  # (T, D) float64 until forward_batch pads it
     target: list  # non-blank label indices
 
     @property
@@ -141,8 +141,9 @@ def clip_global_norm(grads: ModelParameters):
 
 def adam_step(params: ModelParameters, grads, state: AdamState, config: TrainConfig):
     """One Adam update with bias correction, clipping applied first.
-    Returns fresh parameter and state objects (inputs are not mutated)."""
-    g, _ = clip_global_norm(grads)
+    Returns fresh parameter and state objects (inputs are not mutated) and
+    the gradient norm before clipping."""
+    g, norm = clip_global_norm(grads)
     t = state.step + 1
     b1, b2 = ADAM_BETAS
     m = b1 * state.m + (1 - b1) * g
@@ -150,7 +151,7 @@ def adam_step(params: ModelParameters, grads, state: AdamState, config: TrainCon
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
     flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return ModelParameters(params.config, flat), AdamState(t, m, v)
+    return ModelParameters(params.config, flat), AdamState(t, m, v), norm
 
 
 @dataclass
@@ -192,6 +193,7 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
             started = time.monotonic()
             shuffle = rng_for(seed, "epoch", epoch)
             total_loss = 0.0
+            max_grad_norm, clipped_steps = 0.0, 0
             for batch in make_batches(train_items, train_config.batch_size, shuffle):
                 logits, cache = forward_batch(params, [item.features for item in batch])
                 losses, grad = ctc.ctc_loss(logits, [item.num_frames for item in batch],
@@ -205,7 +207,9 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                         f"training diverged (non-finite loss) at epoch {epoch}; {kept}")
                 grads = backward_batch(params, cache, grad / len(batch))
                 del cache  # the activations are not needed by the update; free them first
-                params, adam = adam_step(params, grads, adam, train_config)
+                params, adam, norm = adam_step(params, grads, adam, train_config)
+                max_grad_norm = max(max_grad_norm, float(norm))
+                clipped_steps += int(norm > GRAD_CLIP_NORM)
 
             train_loss = total_loss / len(train_items)
             dev_ler = dev_label_error_rate(params, dev_items)
@@ -213,6 +217,8 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
                 "epoch": epoch,
                 "train_loss": train_loss,
                 "dev_ler": dev_ler,
+                "max_grad_norm": max_grad_norm,
+                "clipped_steps": clipped_steps,
                 "seconds": round(time.monotonic() - started, 3),
             }
             log.write(json.dumps(record) + "\n")

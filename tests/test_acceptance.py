@@ -18,7 +18,13 @@ from tinyasr.corpus import prepare_corpus_dir, read_manifest
 from tinyasr.ctc import collapse, ctc_loss, log_softmax, min_frames
 from tinyasr.evaluation import align_and_count_confusions, edit_distance
 from tinyasr.features import build_mel_filterbank, hz_to_mel, power_spectrum
-from tinyasr.model import ModelConfig, backward_batch, forward_batch, init_parameters
+from tinyasr.model import (
+    ModelConfig,
+    ModelParameters,
+    backward_batch,
+    forward_batch,
+    init_parameters,
+)
 from tinyasr.synthetic import generate_tone_corpus
 from tinyasr.variants import load_alignments, pause_boundaries, strip_spaces
 
@@ -124,7 +130,8 @@ def test_criterion_2_gradient_checks():
             num_layers=int(trial_rng.integers(1, 3)),
             hidden_units=int(trial_rng.integers(1, 5)),
         )
-        params = init_parameters(config, trial)
+        # float64, so that finite differences can resolve the gradients
+        params = ModelParameters(config, init_parameters(config, trial).flat.astype(np.float64))
         T = int(trial_rng.integers(1, 6))
         feats = trial_rng.normal(size=(T, config.input_dim))
         weights = trial_rng.normal(size=(T, config.output_dim))

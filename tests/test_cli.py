@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import struct
@@ -89,6 +90,17 @@ def _set_checkpoint_version(version):
         data = (run / "checkpoint.bin").read_bytes()
         (run / "checkpoint.bin").write_bytes(data[:8] + struct.pack("<I", version) + data[12:])
     return damage
+
+
+def _as_container_version_2(run):
+    """Rewrite the checkpoint as container version 2 wrote it: the same
+    header, then the parameter vector as little-endian float64."""
+    params, _ = load_checkpoint(run / "checkpoint.bin")
+    data = (run / "checkpoint.bin").read_bytes()
+    (length,) = struct.unpack("<I", data[12:16])
+    (run / "checkpoint.bin").write_bytes(data[:8] + struct.pack("<II", 2, length)
+                                         + data[16:16 + length]
+                                         + params.flat.astype("<f8").tobytes())
 
 
 def _set_report_confusions(confusions):
@@ -663,6 +675,34 @@ class TestTrainedRun:
             err = capsys.readouterr().err
             assert "not a run record (lacks sample_rate)" in err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_checkpoint_of_container_version_2_exits_2(self, trained_run, tmp_path, capsys):
+        # version 2 stored the vector as float64; version 3 stores float32
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        _as_container_version_2(run)
+        for argv in (["evaluate", "--run", str(run)],
+                     ["transcribe", "--run", str(run), str(trained_run["corpus"]["corpus"]
+                                                         / "wav" / "tone0000.wav")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "container version 2, not 3; retrain the run to read it" in err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_run_record_states_the_environment(self, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        info = json.loads((run / "run.json").read_text())
+        environment = info.pop("environment")
+        assert environment["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert environment["blas"] == f"{blas['name']} {blas['version']}"
+        assert environment["threads"] == {var: os.environ.get(var)
+                                          for var in pipeline.BLAS_THREAD_VARS}
+        # a record from before the environment was kept still reads
+        (run / "run.json").write_text(json.dumps(info))
+        assert main(["evaluate", "--run", str(run), "--split", "dev"]) == 0
+        capsys.readouterr()
 
     def test_evaluate_non_run_directory_exits_2(self, tmp_path, capsys):
         assert main(["evaluate", "--run", str(tmp_path)]) == 2

@@ -21,6 +21,7 @@ from tinyasr.model import (
     parameter_shapes,
     save_checkpoint,
 )
+from tinyasr.training import AdamState, TrainConfig, adam_step
 
 
 def tiny_config(rng):
@@ -30,6 +31,12 @@ def tiny_config(rng):
         num_layers=int(rng.integers(1, 3)),
         hidden_units=int(rng.integers(1, 5)),
     )
+
+
+def float64_parameters(config, seed):
+    """init_parameters' values in float64, so that the model runs in
+    float64 and finite differences can resolve its gradients."""
+    return ModelParameters(config, init_parameters(config, seed).flat.astype(np.float64))
 
 
 def pad(arrays):
@@ -95,6 +102,47 @@ class TestInit:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(input_dim=3, vocab_size=2, num_layers=0, hidden_units=4)
+
+
+class TestArithmeticDtype:
+    """The parameter vector's dtype is the model's arithmetic: one float64
+    temporary would silently run a float32 model in float64."""
+
+    CONFIG = ModelConfig(input_dim=3, vocab_size=2, num_layers=2, hidden_units=4)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_init_rounds_the_float64_draw_once(self, seed):
+        # the draw as init_parameters makes it, in float64
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        H = self.CONFIG.hidden_units
+        expected = {name: np.zeros(shape)
+                    for name, shape in parameter_shapes(self.CONFIG).items()}
+        matrices = [expected[f"layer{layer}.{kind}"][d] for layer in range(2)
+                    for d in (0, 1) for kind in "WR"] + [expected["proj.W"]]
+        for matrix in matrices:
+            limit = np.sqrt(6.0 / sum(matrix.shape))
+            matrix[...] = rng.uniform(-limit, limit, size=matrix.shape)
+        for layer in range(2):
+            expected[f"layer{layer}.b"][:, H:2 * H] = 1.0
+        flat = init_parameters(self.CONFIG, seed).flat
+        assert flat.dtype == np.float32
+        assert flat.tobytes() == np.concatenate(
+            [t.ravel() for t in expected.values()]).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_array_keeps_the_parameters_dtype(self, dtype):
+        params = ModelParameters(self.CONFIG, init_parameters(self.CONFIG, 3).flat.astype(dtype))
+        rng = np.random.default_rng(5)
+        feats = [rng.normal(size=(t, 3)) for t in (2, 4, 5)]  # float64, as extracted
+        logits, cache = forward_batch(params, feats)
+        arrays = [logits, cache.top] + [a for layer in cache.layers for a in layer]
+        # a float64 gradient, as ctc.ctc_loss gives it
+        grads = backward_batch(params, cache, rng.normal(size=logits.shape))
+        updated, state, _ = adam_step(params, grads, AdamState(), TrainConfig())
+        updated, state, _ = adam_step(updated, grads, state, TrainConfig())
+        inferred, _ = forward_batch(updated, feats, keep_cache=False)
+        arrays += [grads.flat, updated.flat, state.m, state.v, inferred]
+        assert [a.dtype for a in arrays] == [dtype] * len(arrays)
 
 
 class TestParameterVector:
@@ -300,7 +348,7 @@ class TestBackward:
         for trial in range(20):
             rng = np.random.default_rng(100 + trial)
             config = tiny_config(rng)
-            params = init_parameters(config, trial)
+            params = float64_parameters(config, trial)
             T = int(rng.integers(1, 6))
             feats = rng.normal(size=(T, config.input_dim))
             weights = rng.normal(size=(T, config.output_dim))
@@ -318,7 +366,7 @@ class TestBackward:
         # frame, and the last steps run a row on its padding
         rng = np.random.default_rng(17)
         config = ModelConfig(input_dim=2, vocab_size=2, num_layers=2, hidden_units=3)
-        params = init_parameters(config, 6)
+        params = float64_parameters(config, 6)
         lengths = (1, 2, 4, 6)
         feats = [rng.normal(size=(t, 2)) for t in lengths]
         weights = pad([rng.normal(size=(t, config.output_dim)) for t in lengths])
@@ -355,7 +403,7 @@ class TestBackward:
     def test_batched_gradients_sum_per_utterance_gradients(self):
         rng = np.random.default_rng(16)
         config = ModelConfig(input_dim=4, vocab_size=2, num_layers=2, hidden_units=5)
-        params = init_parameters(config, 4)
+        params = float64_parameters(config, 4)
         feats = [rng.normal(size=(t, 4)) for t in (3, 5, 8)]
         weights = [rng.normal(size=(t, config.output_dim)) for t in (3, 5, 8)]
         _, cache = forward_batch(params, feats)
@@ -405,7 +453,7 @@ class TestCheckpoint:
         data = path.read_bytes()
         (header_len,) = struct.unpack("<I", data[12:16])
         assert data[16 + header_len:] == b"".join(
-            params[name].astype("<f8").tobytes() for name in parameter_shapes(config))
+            params[name].astype("<f4").tobytes() for name in parameter_shapes(config))
 
     def test_header_declaring_a_larger_model_rejected(self, tmp_path):
         # 8e12 parameters: the reader must not allocate them before reading

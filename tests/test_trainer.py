@@ -137,7 +137,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = self.params()
         grads = ModelParameters(params.config)
-        updated, state = adam_step(params, grads, AdamState(), self.config())
+        updated, state, _ = adam_step(params, grads, AdamState(), self.config())
         assert np.array_equal(updated.flat, params.flat)
         assert state.step == 1
 
@@ -146,7 +146,7 @@ class TestAdam:
         grads = ModelParameters(params.config, np.full(params.flat.size, 0.25))
         assert np.sqrt(np.sum(grads.flat * grads.flat)) < GRAD_CLIP_NORM  # no clipping
         lr = 1e-3
-        updated, _ = adam_step(params, grads, AdamState(), self.config(learning_rate=lr))
+        updated, _, _ = adam_step(params, grads, AdamState(), self.config(learning_rate=lr))
         step = updated.flat - params.flat
         assert np.abs(np.abs(step) - lr).max() < 1e-6 * lr + 1e-10
         assert np.all(np.sign(step) == -1.0)
@@ -163,7 +163,7 @@ class TestAdam:
         assert clips == {scale == 0.5}
         current, state = params, AdamState()
         for g in grads:
-            current, state = adam_step(current, g, state, config)
+            current, state, _ = adam_step(current, g, state, config)
         tensors, m, v = reference_adam(params.tensors, [g.tensors for g in grads], config)
         assert current.flat.tobytes() == concatenated(tensors)
         assert state.m.tobytes() == concatenated(m)
@@ -191,7 +191,7 @@ class TestAdam:
         current = params
         for _ in range(4):
             grads = ModelParameters(params.config, rng.normal(size=params.flat.size))
-            current, state = adam_step(current, grads, state, config)
+            current, state, _ = adam_step(current, grads, state, config)
         assert np.array_equal(current.flat, params.flat)
 
 
@@ -247,7 +247,30 @@ class TestTrainLoop:
         lines = (run_dir / "epochs.jsonl").read_text().splitlines()
         assert len(lines) == 3
         record = json.loads(lines[0])
-        assert set(record) == {"epoch", "train_loss", "dev_ler", "seconds"}
+        assert set(record) == {"epoch", "train_loss", "dev_ler", "max_grad_norm",
+                               "clipped_steps", "seconds"}
+
+    def test_log_states_the_largest_norm_and_the_clipped_steps(self, tmp_path, monkeypatch):
+        # 3 batches an epoch: each line sums up the norms clipping saw
+        from tinyasr import training
+
+        clip, norms = training.clip_global_norm, []
+
+        def recording(grads):
+            clipped, norm = clip(grads)
+            norms.append(float(norm))
+            return clipped, norm
+
+        monkeypatch.setattr(training, "clip_global_norm", recording)
+        _, run_dir = self.run(tmp_path)
+        records = [json.loads(line)
+                   for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
+        assert len(norms) == 3 * len(records) == 9
+        for record, epoch in zip(records, (norms[i:i + 3] for i in range(0, 9, 3))):
+            assert record["max_grad_norm"] == max(epoch)
+            assert record["clipped_steps"] == sum(norm > GRAD_CLIP_NORM for norm in epoch)
+        # the run clips some steps and not others
+        assert 0 < sum(record["clipped_steps"] for record in records) < 9
 
     def test_deterministic_across_runs(self, tmp_path):
         result_a, dir_a = self.run(tmp_path, name="a")
