@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 config error or an output that cannot be written,
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import load_experiment_config
@@ -15,13 +16,14 @@ from .corpus import prepare_corpus_dir, stats_table, write_manifest, write_rejec
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import confusion_report, report_from_json
 from .pipeline import (
-    FAST_MODEL,
     augmentation_sweep,
     emit_results_table,
     evaluate_run,
     train_experiment,
     transcribe_files,
 )
+
+FAST_MODEL = {"num_layers": 2, "hidden_units": 64}
 
 
 def _whole_number(text, minimum, what) -> int:
@@ -74,10 +76,15 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _experiment_config(args):
+    """The --config file's experiment; under --fast, its model is FAST_MODEL."""
     config = load_experiment_config(args.config)
-    run_dir = Path(args.run_dir) if args.run_dir else None
-    row = train_experiment(config, fast=args.fast, run_dir=run_dir)
+    return replace(config, model=FAST_MODEL) if args.fast else config
+
+
+def _cmd_train(args) -> int:
+    config = _experiment_config(args)
+    row = train_experiment(config, Path(args.run_dir or config.out_dir / config.name))
     print(emit_results_table([row]), end="")
     return 0
 
@@ -108,12 +115,12 @@ def _cmd_transcribe(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_experiment_config(args.config)
+    config = _experiment_config(args)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"--sizes takes comma-separated counts, got {args.sizes!r}") from exc
-    rows = augmentation_sweep(config, sizes, fast=args.fast)
+    rows = augmentation_sweep(config, sizes)
     print(emit_results_table(rows), end="")
     return 0
 
@@ -131,6 +138,7 @@ def _cmd_error_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    fast_help = "use a reduced {num_layers}-layer, {hidden_units}-unit model".format(**FAST_MODEL)
     parser = _Parser(prog="tinyasr",
                      description="Train and evaluate character-level BiLSTM-CTC "
                                  "recognizers on very small corpora.")
@@ -145,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and test-evaluate one experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--fast", action="store_true",
-                   help="use a reduced {num_layers}-layer, {hidden_units}-unit "
-                        "model".format(**FAST_MODEL))
+    p.add_argument("--fast", action="store_true", help=fast_help)
     p.add_argument("--run-dir", type=_path, default=None,
                    help="override the run directory (default: out_dir/name)")
     p.set_defaults(func=_cmd_train)
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--sizes", required=True,
                    help="comma-separated, strictly ascending utterance counts")
-    p.add_argument("--fast", action="store_true")
+    p.add_argument("--fast", action="store_true", help=fast_help)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("error-report", help="print the confusion table of a run")

@@ -98,8 +98,10 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     for key in _PATH_KEYS:
         if "\0" in (raw.get(key) or ""):
             raise ConfigError(f"config key '{key}' holds a NUL character")
-    if raw["name"] in ("", ".", ".."):
-        raise ConfigError(f"config key 'name' must name a run directory, got {raw['name']!r}")
+    name = Path(raw["name"])
+    if not name.parts or name.is_absolute() or ".." in name.parts:
+        raise ConfigError(f"config key 'name' must name a run directory under out_dir, "
+                          f"got {raw['name']!r}")
 
     def path_of(key, default=None):
         value = raw.get(key, default)

@@ -61,7 +61,13 @@ class ModelParameters:
         shapes = parameter_shapes(config)
         ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
         self.config = config
-        self.flat = np.zeros(ends[-1], np.float32) if flat is None else flat.reshape(ends[-1])
+        if flat is None:
+            try:
+                flat = np.zeros(ends[-1], np.float32)
+            except (MemoryError, ValueError) as exc:  # too large to allocate or to index
+                raise ConfigError(f"a model of {ends[-1]:,} parameters does not fit in "
+                                  "memory") from exc
+        self.flat = flat.reshape(ends[-1])
         self.tensors = {name: part.reshape(shape) for (name, shape), part
                         in zip(shapes.items(), np.split(self.flat, ends[:-1]))}
 

@@ -34,8 +34,6 @@ from .variants import (
 )
 
 RUN_FILE = "run.json"
-# the reduced model of --fast, in place of the config's model section
-FAST_MODEL = {"num_layers": 2, "hidden_units": 64}
 # the BLAS thread variables: the thread count changes a checkpoint's bytes
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -168,18 +166,18 @@ def _append_results(out_dir: Path, row: ResultsRow) -> None:
         fh.write(json.dumps(asdict(row)) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, fast, corpus: _Corpus, items,
-                   train_records, subset, run_dir: Path, experiment) -> ResultsRow:
-    """Train on train_records and test-evaluate one run, writing only run_dir.
+def run_experiment(config: ExperimentConfig, corpus: _Corpus, items, train_records,
+                   run_dir: Path, experiment) -> ResultsRow:
+    """Train on train_records and test-evaluate one run named experiment,
+    writing only run_dir.
 
     items holds the extracted utterances of train_records, dev and test, by
-    id; subset is what run.json records as the sweep subset (None for a run
-    on the whole train split). The vocabulary always comes from the full
-    corpus, so subsets stay comparable.
+    id. The vocabulary always comes from the full corpus, so subsets stay
+    comparable.
     """
     with _stage("data"):
         model_config = ModelConfig(input_dim=DIMS, vocab_size=corpus.vocab.size - 1,
-                                   **(FAST_MODEL if fast else config.model))
+                                   **config.model)
     parts = {"train": train_records, "dev": corpus.dev, "test": corpus.test}
     train_items, dev_items, test_items = (
         [items[r.id] for r in part] for part in parts.values())
@@ -195,14 +193,12 @@ def run_experiment(config: ExperimentConfig, fast, corpus: _Corpus, items,
         "schema_version": 1,
         "experiment": experiment,
         "variant": config.variant,
-        "fast": fast,
         "audio_root": str(corpus.audio_root),
         "pause_gap_threshold": config.pause_gap_threshold,
         "sample_rate": corpus.sample_rate,
         "model": asdict(model_config),
         "train": asdict(config.train),
         "splits": {name: [r.id for r in part] for name, part in parts.items()},
-        "subset": subset,
         "environment": _environment(),
     }
     _write_run_info(run_dir, run_info)
@@ -226,16 +222,14 @@ def run_experiment(config: ExperimentConfig, fast, corpus: _Corpus, items,
     return row
 
 
-def train_experiment(config: ExperimentConfig, fast=False, run_dir=None) -> ResultsRow:
+def train_experiment(config: ExperimentConfig, run_dir: Path) -> ResultsRow:
     """Train and test-evaluate the config's experiment on the whole train
-    split, in run_dir (default out_dir/name), and append its results row."""
+    split, in run_dir, and append its results row."""
     with _stage("data"):
         corpus = _load_corpus(config)
     with _stage("features"):
         items = corpus.extract(corpus.train + corpus.dev + corpus.test)
-    run_dir = Path(run_dir) if run_dir is not None else config.out_dir / config.name
-    row = run_experiment(config, fast, corpus, items, corpus.train, None, run_dir,
-                         config.name)
+    row = run_experiment(config, corpus, items, corpus.train, run_dir, config.name)
     _append_results(config.out_dir, row)
     return row
 
@@ -352,7 +346,7 @@ def evaluate_run(run_dir, split="test", beam_width=None):
                          beam_width)
 
 
-def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
+def augmentation_sweep(config: ExperimentConfig, sizes) -> list:
     """Train on nested, growing subsets of the train split.
 
     Subsets come from one seeded shuffle, so each smaller subset is
@@ -380,10 +374,9 @@ def augmentation_sweep(config: ExperimentConfig, sizes, fast=False) -> list:
     rows = []
     for size in sizes:
         chosen = {r.id for r in ordered[:size]}
-        experiment = f"{config.name}-n{size}"
-        rows.append(run_experiment(config, fast, corpus, items,
-                                   [r for r in corpus.train if r.id in chosen],
-                                   sorted(chosen), config.out_dir / experiment, experiment))
+        subset = [r for r in corpus.train if r.id in chosen]
+        name = f"{config.name}-n{size}"
+        rows.append(run_experiment(config, corpus, items, subset, config.out_dir / name, name))
         _append_results(config.out_dir, rows[-1])
     return rows
 

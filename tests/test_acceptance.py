@@ -285,7 +285,7 @@ def test_criterion_7_incremental_data_trend(synthetic300):
         run_dir = root / "runs7" / f"accept-sweep-n{size}"
         info = json.loads((run_dir / "run.json").read_text())
         ler[size] = info["results"]["ler"]
-        subsets[size] = set(info["subset"])
+        subsets[size] = set(info["splits"]["train"])
 
     # nested subsets from one shuffle
     assert subsets[25] < subsets[50] < subsets[100] < subsets[200]

@@ -328,6 +328,9 @@ class TestConfigParsing:
                              ("alignments", "\0")]),
         (None, "name", ""),
         (None, "name", ".."),
+        (None, "name", "../x"),
+        (None, "name", "group/../../x"),
+        (None, "name", "/abs"),
     ])
     def test_bad_value_exits_1_before_any_run(self, tmp_path, capsys, section, key, value):
         # the audio sets the sample rate and the front end is fixed, so a
@@ -349,6 +352,12 @@ class TestConfigParsing:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+
+    def test_nested_relative_name_stays_under_out_dir(self):
+        raw = self.base()
+        raw["name"] = "group/run"
+        config = parse_experiment_config(raw)
+        assert config.out_dir / config.name == Path("runs").resolve() / "group" / "run"
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -465,6 +474,18 @@ class TestExitCodes:
                               f"utterances; ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+
+    def test_model_too_large_to_allocate_exits_1(self, tone_corpus, tmp_path, capsys):
+        # 2.8 PiB of float32: the allocation fails at once, using no memory
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
+                  "model": {"num_layers": 1, "hidden_units": 10 ** 7}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: stage 'train': a model of 800,010,000,000,004 parameters "
+                       "does not fit in memory\n")
 
     def test_prepare_out_is_a_file_exits_1(self, golden_corpus, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -944,6 +965,20 @@ class TestTrainedRun:
         results = (tmp_path / "runs" / "results.jsonl").read_text().splitlines()
         assert [json.loads(l)["experiment"] for l in results] == ["x", f"x-n{n_train}"]
 
+    def test_fast_is_the_2x64_model(self, tone_corpus, tmp_path):
+        config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
+                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
+                  "seed": 3, "train": {"max_epochs": 1, "patience": 1}}
+        fast = tmp_path / "fast.json"
+        fast.write_text(json.dumps(config))
+        sized = tmp_path / "sized.json"
+        sized.write_text(json.dumps({**config, "model": {"num_layers": 2, "hidden_units": 64}}))
+        assert main(["train", "--config", str(fast), "--fast",
+                     "--run-dir", str(tmp_path / "a")]) == 0
+        assert main(["train", "--config", str(sized), "--run-dir", str(tmp_path / "b")]) == 0
+        for name in ("checkpoint.bin", "run.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_run_experiment_writes_only_its_run_directory(self, tone_corpus, tmp_path):
         config = parse_experiment_config({
             "schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
@@ -953,8 +988,7 @@ class TestTrainedRun:
         corpus = pipeline._load_corpus(config)
         items = corpus.extract(corpus.train[:4] + corpus.dev + corpus.test)
         run = tmp_path / "elsewhere" / "run"
-        row = pipeline.run_experiment(config, True, corpus, items, corpus.train[:4],
-                                      None, run, "four")
+        row = pipeline.run_experiment(config, corpus, items, corpus.train[:4], run, "four")
         assert (row.experiment, row.utterances) == ("four", 4)
         assert not (tmp_path / "runs").exists()
         assert [p.name for p in (tmp_path / "elsewhere").iterdir()] == ["run"]
@@ -997,7 +1031,7 @@ class TestTrainedRun:
         path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path), "--sizes", "5,10,20"]) == 0
         info = json.loads((tmp_path / "runs" / "once-n20" / "run.json").read_text())
-        used = len(info["subset"]) + len(info["splits"]["dev"]) + len(info["splits"]["test"])
+        used = sum(len(ids) for ids in info["splits"].values())
         assert len(extracted) == used
         assert set(extracted.values()) == {1}
 

@@ -21,10 +21,14 @@ OUT_DIR/records.
 Prints one line per run: its name, the sha256 of its checkpoint.bin, the
 test LER, best_dev_ler, best_epoch, and one sha256 over its kept evaluate
 reports and transcripts (each file's name and bytes, in sorted name order),
-and writes the same lines to OUT_DIR/summary.tsv. It then compares that
-summary with the expected one, tools/reference_summary.tsv, and exits 1
-naming each run whose line differs, so a change to any kept report or
-transcript fails the check by itself.
+and writes the same lines to OUT_DIR/summary.tsv, after a first line
+`environment<TAB>{json}` with the first run's run.json environment (numpy,
+BLAS and BLAS thread variables), which the checkpoint bytes depend on. It
+then compares that summary with the expected one,
+tools/reference_summary.tsv, and exits 1 if they differ: it names the
+expected and the actual environment when those differ, and each run whose
+line differs, so a change to any kept report or transcript fails the check
+by itself.
 Run it on two trees and compare the outputs with
 `diff -r --exclude=runs OLD NEW` to see whether a change moved any bit; a
 change that moves rounding on purpose updates tools/reference_summary.tsv.
@@ -144,20 +148,33 @@ def reference_runs(out_dir: Path) -> None:
     names.append(name)
 
     (out_dir / "transcripts").mkdir()
+    info = json.loads((out_dir / "runs" / names[0] / "run.json").read_text(encoding="utf-8"))
+    environment = f"environment\t{json.dumps(info['environment'], sort_keys=True)}"
+    print(environment, flush=True)
     with open(out_dir / "summary.tsv", "w", encoding="utf-8") as summary:
+        summary.write(environment + "\n")
         for name in names:
             line = check_run(out_dir, out_dir / "runs" / name)
             print(line, flush=True)
             summary.write(line + "\n")
 
 
-def differing_runs(summary: Path) -> list:
-    """Names of the runs whose summary line is not the expected one."""
-    def by_run(path):
+def differences(summary: Path) -> list:
+    """What differs from the expected summary: the environment, naming the
+    expected and the actual one, and the names of the runs whose line is
+    not the expected one."""
+    def by_key(path):
         lines = path.read_text(encoding="utf-8").splitlines()
-        return {line.split("\t")[0]: line for line in lines}
-    expected, got = by_run(EXPECTED), by_run(summary)
-    return [name for name in {**expected, **got} if expected.get(name) != got.get(name)]
+        return dict(line.split("\t", 1) for line in lines)
+    expected, got = by_key(EXPECTED), by_key(summary)
+    found = []
+    environments = expected.pop("environment", None), got.pop("environment", None)
+    if environments[0] != environments[1]:
+        found.append("the environment differs: expected {}, got {}".format(*environments))
+    runs = [name for name in {**expected, **got} if expected.get(name) != got.get(name)]
+    if runs:
+        found.append(f"runs that differ: {', '.join(runs)}")
+    return found
 
 
 if __name__ == "__main__":
@@ -167,6 +184,7 @@ if __name__ == "__main__":
     if target.exists():
         raise SystemExit(f"{target} exists; give a new directory")
     reference_runs(target)
-    differ = differing_runs(target / "summary.tsv")
-    if differ:
-        raise SystemExit(f"runs that differ from {EXPECTED}: {', '.join(differ)}")
+    found = differences(target / "summary.tsv")
+    if found:
+        raise SystemExit(f"{target / 'summary.tsv'} differs from {EXPECTED}:\n"
+                         + "\n".join(found))
