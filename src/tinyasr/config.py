@@ -67,10 +67,9 @@ class ExperimentConfig:
                 f"unknown transcript variant '{self.variant}' "
                 f"(expected one of {', '.join(VARIANTS)})"
             )
-        if self.variant.startswith("ipa") and self.g2p_rules is None:
-            raise ConfigError(f"variant '{self.variant}' requires g2p_rules")
-        if self.variant == "ipa-pause-boundaries" and self.alignments is None:
-            raise ConfigError("variant 'ipa-pause-boundaries' requires alignments")
+        for key in VARIANTS[self.variant]:
+            if getattr(self, key) is None:
+                raise ConfigError(f"variant '{self.variant}' requires {key}")
 
 
 def load_experiment_config(path) -> ExperimentConfig:

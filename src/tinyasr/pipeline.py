@@ -22,18 +22,13 @@ from .corpus import read_manifest, write_manifest
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import build_report, confusion_report, report_to_json
 from .features import DIMS, extract_features, frame_sizes
-from .model import ModelConfig, decode, load_checkpoint
-from .training import TrainItem, rng_for, split_corpus, train
-from .variants import (
-    VARIANTS,
-    G2PRuleSet,
-    LabelVocabulary,
-    build_vocabulary,
-    load_alignments,
-    variant_units,
-)
+from .model import ModelConfig, decode, init_parameters, load_checkpoint
+from .training import TrainItem, check_feasible, rng_for, split_corpus, train
+from .variants import VARIANTS, LabelVocabulary, build_vocabulary, corpus_units
 
 RUN_FILE = "run.json"
+# each rule file's config key and its name in a run directory
+RULE_FILES = {"g2p_rules": "g2p.tsv", "alignments": "words.jsonl"}
 # the BLAS thread variables: the thread count changes a checkpoint's bytes
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -77,20 +72,6 @@ def emit_results_table(rows) -> str:
             rest = [c[i].rjust(widths[i]) for i in range(1, 4)]
             lines.append("  ".join([first] + rest).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def corpus_units(records, variant, g2p_path, alignments_path, gap_threshold):
-    """Each record's label units under the variant, which reads its G2P
-    rules and word alignments from the given paths when it needs them."""
-    g2p = alignments = None
-    if variant.startswith("ipa"):
-        g2p = G2PRuleSet.from_tsv(g2p_path)
-    if variant == "ipa-pause-boundaries":
-        alignments = load_alignments(alignments_path)
-    return {
-        record.id: variant_units(record, variant, g2p, alignments, gap_threshold)
-        for record in records
-    }
 
 
 def build_items(records, unit_map, vocab, audio_root, sample_rate):
@@ -140,13 +121,12 @@ def _load_corpus(config: ExperimentConfig) -> _Corpus:
         raise DataError(f"prepared corpus manifest not found: {config.corpus}")
     # each named rule file is copied into the run, also where the variant
     # does not read it
-    for key in ("g2p_rules", "alignments"):
-        path = getattr(config, key)
+    paths = {key: getattr(config, key) for key in RULE_FILES}
+    for key, path in paths.items():
         if path is not None and not Path(path).is_file():
             raise DataError(f"{key} file not found: {path}")
     records = read_manifest(config.corpus)
-    unit_map = corpus_units(records, config.variant, config.g2p_rules,
-                            config.alignments, config.pause_gap_threshold)
+    unit_map = corpus_units(records, config.variant, paths, config.pause_gap_threshold)
     splits = split_corpus(records, config.train.seed)
     audio_root = Path(config.corpus).resolve().parent
     sample_rate, _ = wav_info(audio_root / records[0].audio)
@@ -173,21 +153,25 @@ def run_experiment(config: ExperimentConfig, corpus: _Corpus, items, train_recor
 
     items holds the extracted utterances of train_records, dev and test, by
     id. The vocabulary always comes from the full corpus, so subsets stay
-    comparable.
+    comparable. Stage data settles the run before run_dir is written: the
+    train and dev items must be CTC-feasible, and the initial parameters are
+    drawn from the seed, so neither fault leaves a run directory behind.
     """
-    with _stage("data"):
-        model_config = ModelConfig(input_dim=DIMS, vocab_size=corpus.vocab.size - 1,
-                                   **config.model)
     parts = {"train": train_records, "dev": corpus.dev, "test": corpus.test}
     train_items, dev_items, test_items = (
         [items[r.id] for r in part] for part in parts.values())
+    with _stage("data"):
+        check_feasible(train_items + dev_items)
+        model_config = ModelConfig(input_dim=DIMS, vocab_size=corpus.vocab.size - 1,
+                                   **config.model)
+        params = init_parameters(
+            model_config, int(rng_for(config.train.seed, "init").integers(2 ** 31)))
 
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(corpus.records, run_dir / "manifest.jsonl")
-    if config.g2p_rules is not None:
-        shutil.copyfile(config.g2p_rules, run_dir / "g2p.tsv")
-    if config.alignments is not None:
-        shutil.copyfile(config.alignments, run_dir / "words.jsonl")
+    for key, name in RULE_FILES.items():
+        if getattr(config, key) is not None:
+            shutil.copyfile(getattr(config, key), run_dir / name)
 
     run_info = {
         "schema_version": 1,
@@ -204,7 +188,7 @@ def run_experiment(config: ExperimentConfig, corpus: _Corpus, items, train_recor
     _write_run_info(run_dir, run_info)
 
     with _stage("train"):
-        result = train(train_items, dev_items, model_config, config.train, run_dir,
+        result = train(train_items, dev_items, params, config.train, run_dir,
                        corpus.vocab.labels)
 
     with _stage("evaluate"):
@@ -301,8 +285,9 @@ def _load_split(run_dir, run_info, split, vocab):
     if not split_records:
         raise DataError(f"split '{split}' is empty")
 
-    unit_map = corpus_units(split_records, run_info["variant"], run_dir / "g2p.tsv",
-                            run_dir / "words.jsonl", run_info["pause_gap_threshold"])
+    unit_map = corpus_units(split_records, run_info["variant"],
+                            {key: run_dir / name for key, name in RULE_FILES.items()},
+                            run_info["pause_gap_threshold"])
     items = build_items(split_records, unit_map, vocab, run_info["audio_root"],
                         run_info["sample_rate"])
     return items, records

@@ -22,7 +22,6 @@ from .model import (
     backward_batch,
     decode,
     forward_batch,
-    init_parameters,
     save_checkpoint,
 )
 
@@ -166,23 +165,17 @@ def dev_label_error_rate(params, items) -> float:
     return corpus_ler(pairs, [item.id for item in items])
 
 
-def train(train_items, dev_items, model_config, train_config: TrainConfig,
+def train(train_items, dev_items, params: ModelParameters, train_config: TrainConfig,
           run_dir, vocabulary) -> TrainResult:
-    """Full training loop. Writes one JSON line per epoch and keeps the
-    checkpoint with the lowest dev LER in run_dir."""
+    """Train params, which it leaves untouched, on CTC-feasible items (see
+    check_feasible). Writes one JSON line per epoch and keeps the checkpoint
+    with the lowest dev LER in run_dir, which must exist."""
     if not train_items or not dev_items:
         raise DataError("training needs non-empty train and dev splits")
     train_items = sorted(train_items, key=lambda item: item.id)
     dev_items = sorted(dev_items, key=lambda item: item.id)
-    check_feasible(train_items)
-    check_feasible(dev_items)
-
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = run_dir / "checkpoint.bin"
-
-    seed = train_config.seed
-    params = init_parameters(model_config, int(rng_for(seed, "init").integers(2 ** 31)))
     adam = AdamState()
 
     best = float("inf")
@@ -191,7 +184,7 @@ def train(train_items, dev_items, model_config, train_config: TrainConfig,
     with open(run_dir / "epochs.jsonl", "w", encoding="utf-8") as log:
         for epoch in range(1, train_config.max_epochs + 1):
             started = time.monotonic()
-            shuffle = rng_for(seed, "epoch", epoch)
+            shuffle = rng_for(train_config.seed, "epoch", epoch)
             total_loss = 0.0
             max_grad_norm, clipped_steps = 0.0, 0
             for batch in make_batches(train_items, train_config.batch_size, shuffle):

@@ -16,12 +16,13 @@ from .errors import ConfigError, DataError
 BLANK = "<blank>"
 SPACE = " "
 
-VARIANTS = (
-    "orig-no-spaces",
-    "orig-with-spaces",
-    "ipa-no-spaces",
-    "ipa-pause-boundaries",
-)
+# each variant and the config keys of the rule files it reads, in load order
+VARIANTS = {
+    "orig-no-spaces": (),
+    "orig-with-spaces": (),
+    "ipa-no-spaces": ("g2p_rules",),
+    "ipa-pause-boundaries": ("g2p_rules", "alignments"),
+}
 
 DEFAULT_PAUSE_GAP_S = 0.150
 
@@ -238,3 +239,15 @@ def variant_units(record, variant, g2p=None, alignments=None,
         raise DataError(f"no word alignment for utterance '{record.id}'")
     text = pause_boundaries(text.split(SPACE), alignments[record.id], gap_threshold)
     return g2p.apply(text, record.id)
+
+
+def corpus_units(records, variant, paths, gap_threshold) -> dict:
+    """Each record's label units under the variant. paths maps config keys
+    to rule files; only those the variant reads are loaded."""
+    loaders = {"g2p_rules": G2PRuleSet.from_tsv, "alignments": load_alignments}
+    rules = {key: loaders[key](paths[key]) for key in VARIANTS[variant]}
+    return {
+        record.id: variant_units(record, variant, rules.get("g2p_rules"),
+                                 rules.get("alignments"), gap_threshold)
+        for record in records
+    }

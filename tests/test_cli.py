@@ -450,17 +450,14 @@ class TestExitCodes:
         assert name in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("n,empty,command", [
-        pytest.param(5, "dev", ["train"], id="5-dev"),
-        pytest.param(7, "test", ["train"], id="7-test"),
-        pytest.param(5, "dev", ["sweep", "--sizes", "1"], id="5-dev-sweep"),
-        pytest.param(7, "test", ["sweep", "--sizes", "1"], id="7-test-sweep")])
-    def test_empty_split_exits_2_before_any_run(self, tone_corpus, tmp_path, capsys,
-                                                n, empty, command):
-        # the first n utterances of the tone corpus, their audio by absolute path
+    def first_rows_config(self, tone_corpus, tmp_path, n, first_transcript=None):
+        """A config over the first n utterances of the tone corpus, their
+        audio by absolute path, the first transcript replaced when given."""
         manifest = tmp_path / "manifest.jsonl"
         rows = [json.loads(line) for line in
                 tone_corpus["manifest"].read_text(encoding="utf-8").splitlines()[:n]]
+        if first_transcript is not None:
+            rows[0]["transcript"] = first_transcript
         manifest.write_text("".join(
             json.dumps({**row, "audio": str(tone_corpus["prepared"] / row["audio"])}) + "\n"
             for row in rows), encoding="utf-8")
@@ -468,6 +465,16 @@ class TestExitCodes:
                   "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
+        return path, rows[0]["id"]
+
+    @pytest.mark.parametrize("n,empty,command", [
+        pytest.param(5, "dev", ["train"], id="5-dev"),
+        pytest.param(7, "test", ["train"], id="7-test"),
+        pytest.param(5, "dev", ["sweep", "--sizes", "1"], id="5-dev-sweep"),
+        pytest.param(7, "test", ["sweep", "--sizes", "1"], id="7-test-sweep")])
+    def test_empty_split_exits_2_before_any_run(self, tone_corpus, tmp_path, capsys,
+                                                n, empty, command):
+        path, _ = self.first_rows_config(tone_corpus, tmp_path, n)
         assert main([*command, "--config", str(path), "--fast"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage 'data': empty split: {empty} (of {n} "
@@ -475,17 +482,35 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
-    def test_model_too_large_to_allocate_exits_1(self, tone_corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--sizes", "4,8"]],
+                             ids=["train", "sweep"])
+    def test_infeasible_utterance_exits_2_before_any_run(self, tone_corpus, tmp_path,
+                                                         capsys, command):
+        # 80 labels, more than the utterance has frames; it lands in the
+        # train split, and in the first subset of the sweep
+        path, first = self.first_rows_config(tone_corpus, tmp_path, 20, "a b " * 40)
+        assert main([*command, "--config", str(path), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage 'data': utterance '{first}': ")
+        assert "cannot emit 80 labels" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--sizes", "4,8"]],
+                             ids=["train", "sweep"])
+    def test_model_too_large_to_allocate_exits_1(self, tone_corpus, tmp_path, capsys,
+                                                 command):
         # 2.8 PiB of float32: the allocation fails at once, using no memory
         config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
                   "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
                   "model": {"num_layers": 1, "hidden_units": 10 ** 7}}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(path)]) == 1
+        assert main([*command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: stage 'train': a model of 800,010,000,000,004 parameters "
+        assert err == ("error: stage 'data': a model of 800,010,000,000,004 parameters "
                        "does not fit in memory\n")
+        assert not (tmp_path / "runs").exists()
 
     def test_prepare_out_is_a_file_exits_1(self, golden_corpus, tmp_path, capsys):
         out = tmp_path / "taken"

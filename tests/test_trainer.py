@@ -5,7 +5,7 @@ import pytest
 
 from tinyasr.corpus import UtteranceRecord
 from tinyasr.errors import ConfigError, DataError, TrainingError
-from tinyasr.model import ModelConfig, ModelParameters, init_parameters
+from tinyasr.model import ModelConfig, ModelParameters, init_parameters, load_checkpoint
 from tinyasr.training import (
     ADAM_BETAS,
     ADAM_EPSILON,
@@ -226,17 +226,25 @@ def synthetic_items(n, rng, dims=6):
     return out
 
 
+def small_params(hidden_units, seed=0):
+    return init_parameters(ModelConfig(input_dim=6, vocab_size=2, num_layers=1,
+                                       hidden_units=hidden_units), seed)
+
+
+def run_dir_at(path):
+    path.mkdir()
+    return path
+
+
 class TestTrainLoop:
-    def run(self, tmp_path, seed=0, max_epochs=3, patience=3, name="run"):
+    def run(self, tmp_path, seed=0, max_epochs=3, patience=3, name="run", params=None):
         rng = np.random.default_rng(42)
         train_items = synthetic_items(24, rng)
         dev_items = synthetic_items(6, rng)
         config = TrainConfig(batch_size=8, learning_rate=2e-3, max_epochs=max_epochs,
                              patience=patience, seed=seed)
-        model_config = ModelConfig(input_dim=6, vocab_size=2, num_layers=1,
-                                   hidden_units=8)
-        run_dir = tmp_path / name
-        result = train(train_items, dev_items, model_config, config, run_dir,
+        run_dir = run_dir_at(tmp_path / name)
+        result = train(train_items, dev_items, params or small_params(8), config, run_dir,
                        ("<blank>", "a", "b"))
         return result, run_dir
 
@@ -303,30 +311,31 @@ class TestTrainLoop:
         dev_items = synthetic_items(3, rng)
         config = TrainConfig(batch_size=4, learning_rate=0.0, max_epochs=10,
                              patience=0, seed=0)
-        model_config = ModelConfig(input_dim=6, vocab_size=2, num_layers=1,
-                                   hidden_units=4)
-        train(train_items, dev_items, model_config, config, tmp_path / "p0",
+        train(train_items, dev_items, small_params(4), config, run_dir_at(tmp_path / "p0"),
               ("<blank>", "a", "b"))
         # lr 0 never improves after the first epoch's dev LER is recorded
         assert len((tmp_path / "p0" / "epochs.jsonl").read_text().splitlines()) == 2
 
     def test_zero_learning_rate_checkpoint_equals_initialization(self, tmp_path):
-        from tinyasr.model import load_checkpoint
-        from tinyasr.training import rng_for
-
         rng = np.random.default_rng(2)
         train_items = synthetic_items(8, rng)
         dev_items = synthetic_items(3, rng)
         config = TrainConfig(batch_size=4, learning_rate=0.0, max_epochs=3,
                              patience=3, seed=9)
-        model_config = ModelConfig(input_dim=6, vocab_size=2, num_layers=1,
-                                   hidden_units=4)
-        train(train_items, dev_items, model_config, config, tmp_path / "lr0",
+        initial = small_params(4, seed=5)
+        train(train_items, dev_items, initial, config, run_dir_at(tmp_path / "lr0"),
               ("<blank>", "a", "b"))
         loaded, _ = load_checkpoint(tmp_path / "lr0" / "checkpoint.bin")
-        init_seed = int(rng_for(9, "init").integers(2 ** 31))
-        initial = init_parameters(model_config, init_seed)
         assert np.array_equal(loaded.flat, initial.flat)
+
+    def test_leaves_the_given_parameters_untouched(self, tmp_path):
+        # several runs may start from one vector
+        params = small_params(8)
+        before = params.flat.tobytes()
+        result, run_dir = self.run(tmp_path, params=params)
+        assert result.best_epoch > 0
+        assert params.flat.tobytes() == before
+        assert load_checkpoint(run_dir / "checkpoint.bin")[0].flat.tobytes() != before
 
     @pytest.mark.parametrize("nan_from_call,kept", [
         (1, "no checkpoint was written"),
@@ -354,9 +363,6 @@ class TestTrainLoop:
         assert (tmp_path / "run" / "checkpoint.bin").exists() == (nan_from_call > 1)
 
     def test_empty_split_rejected(self, tmp_path):
-        config = TrainConfig()
-        model_config = ModelConfig(input_dim=6, vocab_size=2, num_layers=1,
-                                   hidden_units=4)
         with pytest.raises(DataError):
-            train([], items(3, dims=6), model_config, config, tmp_path / "x",
+            train([], items(3, dims=6), small_params(4), TrainConfig(), tmp_path,
                   ("<blank>", "a", "b"))

@@ -10,7 +10,9 @@ from tinyasr.variants import (
     G2PRuleSet,
     LabelVocabulary,
     WordAlignment,
+    VARIANTS,
     build_vocabulary,
+    corpus_units,
     graphemes,
     load_alignments,
     pause_boundaries,
@@ -234,3 +236,16 @@ class TestVariantUnits:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="unknown transcript variant"):
             variant_units(self.record(), "phoneme-soup")
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_corpus_units_load_only_the_rule_files_the_variant_reads(
+            self, golden_corpus, tmp_path, variant):
+        # a rule file the variant does not read may be anything
+        read = {"g2p_rules": golden_corpus / "g2p.tsv",
+                "alignments": golden_corpus / "words.jsonl"}
+        paths = {key: read[key] if key in VARIANTS[variant] else tmp_path / "absent"
+                 for key in read}
+        units = corpus_units([self.record()], variant, paths, 0.15)
+        assert units == {"session_a10": variant_units(
+            self.record(), variant, G2PRuleSet.from_tsv(read["g2p_rules"]),
+            load_alignments(read["alignments"]), 0.15)}
