@@ -84,7 +84,7 @@ def _experiment_config(args):
 
 def _cmd_train(args) -> int:
     config = _experiment_config(args)
-    row = train_experiment(config, Path(args.run_dir or config.out_dir / config.name))
+    row = train_experiment(config)
     print(emit_results_table([row]), end="")
     return 0
 
@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train and test-evaluate one experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--fast", action="store_true", help=fast_help)
-    p.add_argument("--run-dir", type=_path, default=None,
-                   help="override the run directory (default: out_dir/name)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="re-evaluate a finished run")

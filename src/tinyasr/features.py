@@ -5,6 +5,7 @@ log mel filterbank energies plus log frame energy, delta and delta-delta
 appendage, per-utterance mean/variance normalization.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +83,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.cache
 def build_mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray:
     """Triangular filters (n_mels x nfft/2+1), evenly spaced on the mel
-    scale from 0 Hz to Nyquist."""
+    scale from 0 Hz to Nyquist; cached, so read-only."""
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_freqs = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
     bank = np.zeros((n_mels, nfft // 2 + 1))
@@ -93,6 +95,7 @@ def build_mel_filterbank(n_mels: int, nfft: int, sample_rate: int) -> np.ndarray
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
         bank[m] = np.maximum(0.0, np.minimum(rising, falling))
+    bank.flags.writeable = False
     return bank
 
 

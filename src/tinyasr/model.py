@@ -58,15 +58,16 @@ class ModelParameters:
     unless given a vector of exactly that length, kept in its own dtype."""
 
     def __init__(self, config: ModelConfig, flat=None):
-        shapes = parameter_shapes(config)
-        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
         self.config = config
         if flat is None:
+            count = parameter_count(config)  # before any work that grows with the layers
             try:
-                flat = np.zeros(ends[-1], np.float32)
+                flat = np.zeros(count, np.float32)
             except (MemoryError, ValueError) as exc:  # too large to allocate or to index
-                raise ConfigError(f"a model of {ends[-1]:,} parameters does not fit in "
+                raise ConfigError(f"a model of {count:,} parameters does not fit in "
                                   "memory") from exc
+        shapes = parameter_shapes(config)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
         self.flat = flat.reshape(ends[-1])
         self.tensors = {name: part.reshape(shape) for (name, shape), part
                         in zip(shapes.items(), np.split(self.flat, ends[:-1]))}
@@ -87,6 +88,15 @@ def parameter_shapes(config: ModelConfig) -> dict:
     shapes["proj.W"] = (config.output_dim, 2 * H)
     shapes["proj.b"] = (config.output_dim,)
     return shapes
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """The number of values in parameter_shapes, in closed form: the first
+    layer reads input_dim features, each later one the 2H of the layer
+    below."""
+    H, gates = config.hidden_units, 8 * config.hidden_units  # 4 gates, 2 directions
+    return (gates * (config.input_dim + H + 1) + (config.num_layers - 1) * gates * (3 * H + 1)
+            + config.output_dim * (2 * H + 1))
 
 
 def init_parameters(config: ModelConfig, seed: int) -> ModelParameters:
@@ -336,6 +346,12 @@ def load_checkpoint(path):
                                 f"{CONTAINER_VERSION}; retrain the run to read it")
             header = json.loads(fh.read(header_len).decode("utf-8"))
             config = ModelConfig(**header["config"])
+            # to the end of the file: the file, not the header, bounds the read,
+            # and the count is checked before any work that grows with the layers
+            flat, count = np.fromfile(fh, dtype="<f4"), parameter_count(config)
+            if flat.size != count:
+                raise DataError(f"{path}: truncated or garbled (its model config has "
+                                f"{count:,} parameters, the file holds {flat.size:,})")
             shapes = parameter_shapes(config)
             if header["tensors"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
                 raise DataError(f"{path}: tensor list does not match the model config")
@@ -343,8 +359,7 @@ def load_checkpoint(path):
             if not isinstance(labels, list) or len(labels) != config.output_dim:
                 raise DataError(f"{path}: vocabulary does not match the model config")
             vocabulary = LabelVocabulary(labels=tuple(labels))
-            # to the end of the file: the file, not the header, bounds the read
-            params = ModelParameters(config, np.fromfile(fh, dtype="<f4"))
+            params = ModelParameters(config, flat)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (struct.error, ValueError, RecursionError) as exc:

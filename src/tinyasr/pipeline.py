@@ -109,12 +109,6 @@ class _Corpus:
     dev: list
     test: list
 
-    def extract(self, records) -> dict:
-        """The records' TrainItems, by id."""
-        items = build_items(records, self.unit_map, self.vocab, self.audio_root,
-                            self.sample_rate)
-        return {item.id: item for item in items}
-
 
 def _load_corpus(config: ExperimentConfig) -> _Corpus:
     if config.corpus is None or not Path(config.corpus).exists():
@@ -140,23 +134,18 @@ def _load_corpus(config: ExperimentConfig) -> _Corpus:
                    build_vocabulary(unit_map.values()), *splits)
 
 
-def _append_results(out_dir: Path, row: ResultsRow) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(row)) + "\n")
-
-
 def run_experiment(config: ExperimentConfig, corpus: _Corpus, items, train_records,
-                   run_dir: Path, experiment) -> ResultsRow:
+                   experiment) -> ResultsRow:
     """Train on train_records and test-evaluate one run named experiment,
-    writing only run_dir.
+    writing only its run directory, config.out_dir / experiment.
 
     items holds the extracted utterances of train_records, dev and test, by
     id. The vocabulary always comes from the full corpus, so subsets stay
-    comparable. Stage data settles the run before run_dir is written: the
-    train and dev items must be CTC-feasible, and the initial parameters are
-    drawn from the seed, so neither fault leaves a run directory behind.
+    comparable. Stage data settles the run before its directory is written:
+    the train and dev items must be CTC-feasible, and the initial parameters
+    are drawn from the seed, so neither fault leaves a run directory behind.
     """
+    run_dir = config.out_dir / experiment
     parts = {"train": train_records, "dev": corpus.dev, "test": corpus.test}
     train_items, dev_items, test_items = (
         [items[r.id] for r in part] for part in parts.values())
@@ -206,16 +195,29 @@ def run_experiment(config: ExperimentConfig, corpus: _Corpus, items, train_recor
     return row
 
 
-def train_experiment(config: ExperimentConfig, run_dir: Path) -> ResultsRow:
+def _run_all(config: ExperimentConfig, corpus: _Corpus, runs) -> list:
+    """Run each (experiment, train records) pair in order, extracting every
+    utterance they use, plus dev and test, once first; each run's results
+    row goes to out_dir/results.jsonl as it ends, before the next run."""
+    used = {r.id: r for _, train_records in runs for r in train_records}
+    with _stage("features"):
+        items = {item.id: item for item in build_items(
+            [*used.values(), *corpus.dev, *corpus.test], corpus.unit_map, corpus.vocab,
+            corpus.audio_root, corpus.sample_rate)}
+    rows = []
+    for experiment, train_records in runs:
+        rows.append(run_experiment(config, corpus, items, train_records, experiment))
+        with open(config.out_dir / "results.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(asdict(rows[-1])) + "\n")
+    return rows
+
+
+def train_experiment(config: ExperimentConfig) -> ResultsRow:
     """Train and test-evaluate the config's experiment on the whole train
-    split, in run_dir, and append its results row."""
+    split, in out_dir/name, and append its results row next to it."""
     with _stage("data"):
         corpus = _load_corpus(config)
-    with _stage("features"):
-        items = corpus.extract(corpus.train + corpus.dev + corpus.test)
-    row = run_experiment(config, corpus, items, corpus.train, run_dir, config.name)
-    _append_results(config.out_dir, row)
-    return row
+    return _run_all(config, corpus, [(config.name, corpus.train)])[0]
 
 
 def _environment() -> dict:
@@ -336,8 +338,8 @@ def augmentation_sweep(config: ExperimentConfig, sizes) -> list:
 
     Subsets come from one seeded shuffle, so each smaller subset is
     contained in every larger one; dev and test stay identical throughout.
-    The corpus is read once, each utterance that some size uses is
-    extracted once, and each size's results row is appended after its run.
+    Size n is the run <name>-n<n>; the corpus is read once, and the sizes
+    run through the one loop that train uses (see _run_all).
     """
     sizes = list(sizes)
     if not sizes or any(type(s) is not int or s < 1 for s in sizes) \
@@ -352,18 +354,9 @@ def augmentation_sweep(config: ExperimentConfig, sizes) -> list:
             f"({len(corpus.train)} utterances)"
         )
     shuffled = rng_for(config.train.seed, "subset").permutation(len(corpus.train))
-    ordered = [corpus.train[i] for i in shuffled]
-    with _stage("features"):
-        items = corpus.extract(ordered[:sizes[-1]] + corpus.dev + corpus.test)
-
-    rows = []
-    for size in sizes:
-        chosen = {r.id for r in ordered[:size]}
-        subset = [r for r in corpus.train if r.id in chosen]
-        name = f"{config.name}-n{size}"
-        rows.append(run_experiment(config, corpus, items, subset, config.out_dir / name, name))
-        _append_results(config.out_dir, rows[-1])
-    return rows
+    return _run_all(config, corpus, [
+        (f"{config.name}-n{size}", [corpus.train[i] for i in sorted(shuffled[:size])])
+        for size in sizes])
 
 
 def transcribe_files(run_dir, wav_paths, beam_width=None):

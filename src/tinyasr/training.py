@@ -2,8 +2,8 @@
 determinism under a fixed seed.
 
 All randomness flows from the experiment seed through named sub-seeds
-(split, init, epoch shuffles), so identical configs reproduce identical
-checkpoints bit for bit.
+(split, init, epoch shuffles, which only reorder equal frame counts), so
+identical configs reproduce identical checkpoints bit for bit.
 """
 
 import json
@@ -106,8 +106,8 @@ def check_feasible(items) -> None:
 
 
 def make_batches(items, batch_size: int, rng=None):
-    """Bucket by frame count (shuffle, stable-sort, chunk). Every item
-    appears in exactly one batch."""
+    """Bucket by frame count (shuffle, stable-sort, chunk), shortest first:
+    each item in one batch; the shuffle only reorders equal frame counts."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     pool = list(items)
@@ -165,11 +165,13 @@ def dev_label_error_rate(params, items) -> float:
     return corpus_ler(pairs, [item.id for item in items])
 
 
+@np.errstate(over="raise", invalid="raise")
 def train(train_items, dev_items, params: ModelParameters, train_config: TrainConfig,
           run_dir, vocabulary) -> TrainResult:
     """Train params, which it leaves untouched, on CTC-feasible items (see
     check_feasible). Writes one JSON line per epoch and keeps the checkpoint
-    with the lowest dev LER in run_dir, which must exist."""
+    with the lowest dev LER in run_dir, which must exist. A non-finite loss,
+    or an overflow or invalid value in the arithmetic, is divergence."""
     if not train_items or not dev_items:
         raise DataError("training needs non-empty train and dev splits")
     train_items = sorted(train_items, key=lambda item: item.id)
@@ -187,25 +189,28 @@ def train(train_items, dev_items, params: ModelParameters, train_config: TrainCo
             shuffle = rng_for(train_config.seed, "epoch", epoch)
             total_loss = 0.0
             max_grad_norm, clipped_steps = 0.0, 0
-            for batch in make_batches(train_items, train_config.batch_size, shuffle):
-                logits, cache = forward_batch(params, [item.features for item in batch])
-                losses, grad = ctc.ctc_loss(logits, [item.num_frames for item in batch],
-                                            [item.target for item in batch])
-                for loss in losses.tolist():
-                    total_loss += loss
-                if not np.isfinite(total_loss):
-                    kept = (f"last good checkpoint kept at {checkpoint_path}" if best_epoch
-                            else "no checkpoint was written")
-                    raise TrainingError(
-                        f"training diverged (non-finite loss) at epoch {epoch}; {kept}")
-                grads = backward_batch(params, cache, grad / len(batch))
-                del cache  # the activations are not needed by the update; free them first
-                params, adam, norm = adam_step(params, grads, adam, train_config)
-                max_grad_norm = max(max_grad_norm, float(norm))
-                clipped_steps += int(norm > GRAD_CLIP_NORM)
+            try:
+                for batch in make_batches(train_items, train_config.batch_size, shuffle):
+                    logits, cache = forward_batch(params, [item.features for item in batch])
+                    losses, grad = ctc.ctc_loss(logits, [item.num_frames for item in batch],
+                                                [item.target for item in batch])
+                    for loss in losses.tolist():
+                        total_loss += loss
+                    if not np.isfinite(total_loss):
+                        raise FloatingPointError("non-finite loss")
+                    grads = backward_batch(params, cache, grad / len(batch))
+                    del cache  # the activations are not needed by the update; free them first
+                    params, adam, norm = adam_step(params, grads, adam, train_config)
+                    max_grad_norm = max(max_grad_norm, float(norm))
+                    clipped_steps += int(norm > GRAD_CLIP_NORM)
+                dev_ler = dev_label_error_rate(params, dev_items)
+            except FloatingPointError as exc:
+                kept = (f"last good checkpoint kept at {checkpoint_path}" if best_epoch
+                        else "no checkpoint was written")
+                raise TrainingError(f"training diverged ({exc}) at epoch {epoch}; "
+                                    f"{kept}") from exc
 
             train_loss = total_loss / len(train_items)
-            dev_ler = dev_label_error_rate(params, dev_items)
             record = {
                 "epoch": epoch,
                 "train_loss": train_loss,

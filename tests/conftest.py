@@ -1,4 +1,7 @@
 import json
+import resource
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,3 +145,19 @@ def trained_run(tmp_path_factory, tone_corpus):
     assert cli_main(["train", "--config", str(config_path)]) == 0
     return {"run": root / "runs" / "fixture-run", "config": config_path,
             "out_dir": root / "runs", "corpus": tone_corpus}
+
+
+@contextmanager
+def memory_capped(headroom=2 ** 30):
+    """Caps this process's address space at its current size plus headroom
+    bytes for the block, so a path that builds per-layer work for a huge
+    model raises MemoryError instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    status = Path("/proc/self/status").read_text().split("VmSize:")[1]
+    size = int(status.split()[0]) * 1024
+    cap = size + headroom if hard == resource.RLIM_INFINITY else min(size + headroom, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

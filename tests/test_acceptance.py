@@ -297,18 +297,18 @@ def test_criterion_7_incremental_data_trend(synthetic300):
 
 def test_criterion_8_determinism(synthetic300):
     root = synthetic300["root"]
-    config_path = write_config(
-        root / "c8.json", synthetic300["prepared"], "accept-det",
-        root / "runs8", seed=3,
-        train_overrides={"max_epochs": 4, "patience": 4},
-    )
+    # one experiment, trained twice: the same name in two out_dirs
     for tag in ("a", "b"):
-        rc = cli_main(["train", "--config", str(config_path), "--fast",
-                       "--run-dir", str(root / "runs8" / f"det-{tag}")])
+        config_path = write_config(
+            root / f"c8{tag}.json", synthetic300["prepared"], "accept-det",
+            root / "runs8" / tag, seed=3,
+            train_overrides={"max_epochs": 4, "patience": 4},
+        )
+        rc = cli_main(["train", "--config", str(config_path), "--fast"])
         assert rc == 0
 
-    ck_a = (root / "runs8" / "det-a" / "checkpoint.bin").read_bytes()
-    ck_b = (root / "runs8" / "det-b" / "checkpoint.bin").read_bytes()
+    ck_a = (root / "runs8" / "a" / "accept-det" / "checkpoint.bin").read_bytes()
+    ck_b = (root / "runs8" / "b" / "accept-det" / "checkpoint.bin").read_bytes()
     assert ck_a == ck_b
 
     # the epoch log is compared without its wall-clock field, which cannot
@@ -321,8 +321,8 @@ def test_criterion_8_determinism(synthetic300):
             rows.append(json.dumps(row, sort_keys=True))
         return "\n".join(rows)
 
-    log_a = canonical(root / "runs8" / "det-a" / "epochs.jsonl")
-    log_b = canonical(root / "runs8" / "det-b" / "epochs.jsonl")
+    log_a = canonical(root / "runs8" / "a" / "accept-det" / "epochs.jsonl")
+    log_b = canonical(root / "runs8" / "b" / "accept-det" / "epochs.jsonl")
     assert log_a == log_b
     print("\nPASS criterion 8: identical config and seed give byte-identical "
           "checkpoints and epoch logs (timing field excluded)")

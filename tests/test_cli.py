@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_eaf
-from hypothesis import example, given, settings
+from conftest import build_eaf, memory_capped
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tinyasr import config as config_module
@@ -496,19 +496,26 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("command", [["train"], ["sweep", "--sizes", "4,8"]],
-                             ids=["train", "sweep"])
+    @pytest.mark.parametrize("command,model,count", [
+        (["train"], {"num_layers": 1, "hidden_units": 10 ** 7}, "800,010,000,000,004"),
+        (["sweep", "--sizes", "4,8"], {"num_layers": 1, "hidden_units": 10 ** 7},
+         "800,010,000,000,004"),
+        (["train"], {"num_layers": 2 ** 31}, "3,225,520,438,544,004"),
+        (["sweep", "--sizes", "4,8"], {"num_layers": 2 ** 31}, "3,225,520,438,544,004"),
+    ], ids=["train", "sweep", "train-num-layers", "sweep-num-layers"])
     def test_model_too_large_to_allocate_exits_1(self, tone_corpus, tmp_path, capsys,
-                                                 command):
-        # 2.8 PiB of float32: the allocation fails at once, using no memory
+                                                 command, model, count):
+        # 2.8 and 11 PiB of float32: the allocation fails at once, using no
+        # memory, and before any work that grows with the layer count
         config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
                   "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
-                  "model": {"num_layers": 1, "hidden_units": 10 ** 7}}
+                  "model": model}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
-        assert main([*command, "--config", str(path)]) == 1
+        with memory_capped():
+            assert main([*command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: stage 'data': a model of 800,010,000,000,004 parameters "
+        assert err == (f"error: stage 'data': a model of {count} parameters "
                        "does not fit in memory\n")
         assert not (tmp_path / "runs").exists()
 
@@ -536,11 +543,10 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,named", [
-        (["train", "--config", "{config}", "--run-dir", "r\0x"], "NUL"),
         (["prepare", "{corpus}", "--out", "o\0"], "NUL"),
         (["error-report", "--run", "r\0"], "NUL"),
         (["error-report", "--run", "{tmp}", "--split", "a\0b"], "invalid choice"),
-    ], ids=["train-run-dir", "prepare-out", "error-report-run", "error-report-split"])
+    ], ids=["prepare-out", "error-report-run", "error-report-split"])
     def test_nul_in_a_path_option_exits_1(self, tone_corpus, tmp_path, capsys, argv, named):
         config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
                   "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs")}
@@ -992,17 +998,18 @@ class TestTrainedRun:
 
     def test_fast_is_the_2x64_model(self, tone_corpus, tmp_path):
         config = {"schema_version": 1, "name": "x", "corpus": str(tone_corpus["manifest"]),
-                  "variant": "orig-no-spaces", "out_dir": str(tmp_path / "runs"),
-                  "seed": 3, "train": {"max_epochs": 1, "patience": 1}}
+                  "variant": "orig-no-spaces", "seed": 3,
+                  "train": {"max_epochs": 1, "patience": 1}}
         fast = tmp_path / "fast.json"
-        fast.write_text(json.dumps(config))
+        fast.write_text(json.dumps({**config, "out_dir": str(tmp_path / "a")}))
         sized = tmp_path / "sized.json"
-        sized.write_text(json.dumps({**config, "model": {"num_layers": 2, "hidden_units": 64}}))
-        assert main(["train", "--config", str(fast), "--fast",
-                     "--run-dir", str(tmp_path / "a")]) == 0
-        assert main(["train", "--config", str(sized), "--run-dir", str(tmp_path / "b")]) == 0
+        sized.write_text(json.dumps({**config, "out_dir": str(tmp_path / "b"),
+                                     "model": {"num_layers": 2, "hidden_units": 64}}))
+        assert main(["train", "--config", str(fast), "--fast"]) == 0
+        assert main(["train", "--config", str(sized)]) == 0
+        a, b = tmp_path / "a" / "x", tmp_path / "b" / "x"
         for name in ("checkpoint.bin", "run.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_run_experiment_writes_only_its_run_directory(self, tone_corpus, tmp_path):
         config = parse_experiment_config({
@@ -1011,12 +1018,15 @@ class TestTrainedRun:
             "model": {"num_layers": 1, "hidden_units": 8},
             "train": {"max_epochs": 1, "patience": 1, "batch_size": 16}})
         corpus = pipeline._load_corpus(config)
-        items = corpus.extract(corpus.train[:4] + corpus.dev + corpus.test)
-        run = tmp_path / "elsewhere" / "run"
-        row = pipeline.run_experiment(config, corpus, items, corpus.train[:4], run, "four")
+        items = pipeline.build_items(corpus.train[:4] + corpus.dev + corpus.test,
+                                     corpus.unit_map, corpus.vocab, corpus.audio_root,
+                                     corpus.sample_rate)
+        items = {item.id: item for item in items}
+        row = pipeline.run_experiment(config, corpus, items, corpus.train[:4], "four")
         assert (row.experiment, row.utterances) == ("four", 4)
-        assert not (tmp_path / "runs").exists()
-        assert [p.name for p in (tmp_path / "elsewhere").iterdir()] == ["run"]
+        # no results.jsonl: the loop over a command's runs appends the rows
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == ["four"]
+        run = tmp_path / "runs" / "four"
         assert json.loads((run / "run.json").read_text())["results"]["ler"] == row.ler
 
     @pytest.mark.parametrize("sizes", ["a,b", "-30", "0,10", "10,10"])
@@ -1190,6 +1200,182 @@ class TestAnyRunRecordValue:
         for key in _run_record_keys(trained_run):
             for value in ("tone\0", 10 ** 309, [{"a\0": [10 ** 309]}], {"": [[]]}):
                 self.check_exit_codes(trained_run, key, value)
+
+
+def _cli(argv):
+    """Run the CLI; returns its exit code and standard error."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A prepared 10-utterance tone corpus, the fewest that fill train, dev
+    and test, with its G2P rules and word alignments."""
+    root = tmp_path_factory.mktemp("tiny")
+    generate_tone_corpus(root / "corpus", n_utterances=10, seed=11)
+    assert _cli(["prepare", str(root / "corpus"), "--out", str(root / "prepared")])[0] == 0
+    return {"manifest": root / "prepared" / "manifest.jsonl",
+            "g2p_rules": root / "corpus" / "g2p.tsv",
+            "alignments": root / "corpus" / "words.jsonl"}
+
+
+def _tiny_config(tiny_corpus, **paths):
+    """A valid config that reads every input of the ipa-pause-boundaries
+    variant and trains one epoch of a 1x4 model into runs/ beside it."""
+    return {"schema_version": 1, "name": "x", "corpus": str(tiny_corpus["manifest"]),
+            "variant": "ipa-pause-boundaries",
+            "g2p_rules": str(paths.get("g2p_rules", tiny_corpus["g2p_rules"])),
+            "alignments": str(paths.get("alignments", tiny_corpus["alignments"])),
+            "pause_gap_threshold": 0.05, "out_dir": "runs", "seed": 2,
+            "model": {"num_layers": 1, "hidden_units": 4},
+            "train": {"batch_size": 16, "learning_rate": 1e-3, "max_epochs": 1,
+                      "patience": 1}}
+
+
+def check_train_exit_codes(root, config, case):
+    """train on a config written into root: it exits 0, 1, 2 or 3 and, on
+    failure, prints one error line and no traceback; a stage-data error
+    leaves no run directory. The memory cap turns a model that asks for
+    real memory into an allocation failure instead of a long run."""
+    path = root / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with memory_capped():
+        code, err = _cli(["train", "--config", str(path)])
+    assert code in (0, 1, 2, 3), (case, err)
+    assert "Traceback" not in err, (case, err)
+    if code:
+        assert err.startswith("error: ") and err.count("error: ") == 1, (case, err)
+    else:
+        assert err == "", (case, err)
+    if "stage 'data'" in err:
+        assert not (root / "runs").exists(), (case, err)
+
+
+# an integer between these would ask for a model or a run of real size
+# that trains for long; below and beyond them, the values cost nothing
+CONFIG_VALUES = (JSON_VALUES | TARGETED_VALUES | st.sampled_from([2 ** 31, 10 ** 12])).filter(
+    lambda v: not (type(v) is int and 16 < v < 2 ** 31))
+CONFIG_PATHS = (["", "schema_version", "name", "corpus", "variant", "g2p_rules", "alignments",
+                 "pause_gap_threshold", "out_dir", "seed", "model", "train"]
+                + [f"model.{key}" for key in ("num_layers", "hidden_units")]
+                + [f"train.{key}" for key in ("batch_size", "learning_rate", "max_epochs",
+                                              "patience")])
+
+
+class TestAnyExperimentConfigValue:
+    # one config value replaced by the value, or deleted (None)
+    @pytest.mark.parametrize("key", CONFIG_PATHS, ids=lambda key: key or "document")
+    @settings(max_examples=10, deadline=None)
+    @given(value=st.none() | CONFIG_VALUES)
+    def test_train_keeps_the_exit_codes(self, tiny_corpus, key, value):
+        # an absolute or climbing out_dir would write outside the test's
+        # directory; a NUL one is still drawn
+        assume(key != "out_dir" or not isinstance(value, str) or "\0" in value)
+        config = _tiny_config(tiny_corpus)
+        *sections, last = key.split(".")
+        section = config[sections[0]] if sections else config
+        if not key:  # the whole document
+            config = {} if value is None else value
+        elif value is None:
+            del section[last]
+        else:
+            section[last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            check_train_exit_codes(Path(tmp), config, (key, value))
+
+
+def _words_paths(lines):
+    """Where a words.jsonl value can be set: a line's keys, and each key of
+    its first word."""
+    paths = []
+    for index, line in enumerate(lines):
+        paths += [(index, key) for key in line]
+        if isinstance(line.get("words"), list) and line["words"]:
+            paths += [(index, "words", 0, key) for key in line["words"][0]]
+    return paths
+
+
+class TestAnyAlignmentValue:
+    # one value of one words.jsonl line replaced by the value, or deleted (None)
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=st.data(), value=st.none() | JSON_VALUES | TARGETED_VALUES)
+    def test_train_keeps_the_exit_codes(self, tiny_corpus, drawn, value):
+        lines = [json.loads(line) for line in
+                 tiny_corpus["alignments"].read_text(encoding="utf-8").splitlines()]
+        *path, last = drawn.draw(st.sampled_from(_words_paths(lines)), label="path")
+        target = lines
+        for step in path:
+            target = target[step]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "words.jsonl").write_text(
+                "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+            config = _tiny_config(tiny_corpus, alignments=root / "words.jsonl")
+            check_train_exit_codes(root, config, (path, last, value))
+
+
+class TestAnyG2PRuleValue:
+    # one field of one rule line replaced by the text
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=st.data(), text=st.text(max_size=4) | NUL_TEXT
+           | st.sampled_from(["#", "\t", "\n", "<blank>", " "]))
+    def test_train_keeps_the_exit_codes(self, tiny_corpus, drawn, text):
+        lines = [line.split("\t") for line in
+                 tiny_corpus["g2p_rules"].read_text(encoding="utf-8").splitlines()]
+        index = drawn.draw(st.integers(0, len(lines) - 1), label="line")
+        field = drawn.draw(st.integers(0, len(lines[index]) - 1), label="field")
+        lines[index][field] = text
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "g2p.tsv").write_text("".join("\t".join(line) + "\n" for line in lines),
+                                          encoding="utf-8")
+            config = _tiny_config(tiny_corpus, g2p_rules=root / "g2p.tsv")
+            check_train_exit_codes(root, config, (index, field, text))
+
+
+# where a report value can be set: its keys, and each key of one of its
+# pairs and of one of its confusions (None: an index drawn per example)
+REPORT_PATHS = ([(key,) for key in ("ler", "ler_macro", "averaging", "n_utterances",
+                                    "decoder", "pairs", "confusions")]
+                + [("pairs", None, key) for key in ("id", "distance", "ref_len", "hyp")]
+                + [("confusions", None, key) for key in ("ref", "hyp", "count")])
+
+
+class TestAnyReportValue:
+    # one value of report-test.json replaced by the value, or deleted (None)
+    @pytest.mark.parametrize("path", REPORT_PATHS,
+                             ids=lambda path: ".".join(map(str, path)))
+    @settings(max_examples=15, deadline=None)
+    @given(drawn=st.data(), value=st.none() | JSON_VALUES | TARGETED_VALUES)
+    def test_error_report_keeps_the_exit_codes(self, trained_run, path, drawn, value):
+        report = json.loads((trained_run["run"] / "report-test.json").read_text())
+        # a substitution, a deletion and an insertion, whose counts the table sums
+        report["confusions"] += [{"ref": "a", "hyp": "b", "count": 2},
+                                 {"ref": "a", "hyp": None, "count": 1},
+                                 {"ref": None, "hyp": "c", "count": 1}]
+        *path, last = path
+        target = report
+        for step in path:
+            if step is None:
+                step = drawn.draw(st.integers(0, len(target) - 1), label="index")
+            target = target[step]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "report-test.json").write_text(json.dumps(report), encoding="utf-8")
+            code, err = _cli(["error-report", "--run", tmp])
+        assert code in (0, 2), (path, last, value, err)
+        assert "Traceback" not in err
+        assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
 
 
 VALID_MANIFEST_LINE = json.dumps({"id": "u1", "audio": "a.wav", "start_s": 0.25,

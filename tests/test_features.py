@@ -117,6 +117,11 @@ class TestMelScale:
         out = mel_filterbank(np.zeros(33), bank)
         assert np.allclose(out, math.log(1e-10))
 
+    def test_filterbank_is_built_once_and_read_only(self):
+        bank = build_mel_filterbank(4, 64, 16000)
+        assert build_mel_filterbank(4, 64, 16000) is bank
+        assert not bank.flags.writeable
+
 
 class TestFrameSizes:
     @pytest.mark.parametrize("rate,sizes", [(8000, (200, 80, 256)),

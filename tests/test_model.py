@@ -1,13 +1,18 @@
 import json
+import math
+import shutil
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import memory_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyasr import model, pipeline
+from tinyasr.audio import AudioBuffer, write_wav
+from tinyasr.cli import main
 from tinyasr.errors import ConfigError, DataError
 from tinyasr.model import (
     ModelConfig,
@@ -18,6 +23,7 @@ from tinyasr.model import (
     forward_batch,
     init_parameters,
     load_checkpoint,
+    parameter_count,
     parameter_shapes,
     save_checkpoint,
 )
@@ -163,6 +169,16 @@ class TestParameterVector:
         size = ModelParameters(self.CONFIG).flat.size
         with pytest.raises(ValueError):
             ModelParameters(self.CONFIG, np.zeros(size + delta))
+
+    @pytest.mark.parametrize("config", [
+        CONFIG,
+        ModelConfig(input_dim=1, vocab_size=1, num_layers=1, hidden_units=1),
+        ModelConfig(input_dim=123, vocab_size=30, num_layers=3, hidden_units=250),
+        ModelConfig(input_dim=7, vocab_size=4, num_layers=5, hidden_units=3),
+    ])
+    def test_parameter_count_is_the_sum_over_the_shapes(self, config):
+        assert parameter_count(config) == sum(
+            math.prod(shape) for shape in parameter_shapes(config).values())
 
 
 class TestSigmoid:
@@ -549,3 +565,27 @@ class TestDamagedCheckpoint:
             load_checkpoint(path)
         except DataError:
             pass
+
+    @pytest.mark.parametrize("command", ["evaluate", "transcribe"])
+    def test_header_of_too_many_layers_exits_2(self, trained_run, tmp_path, capsys, command):
+        # the header's layer count is checked against the values the file
+        # holds before any work that grows with it
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        path = run / "checkpoint.bin"
+        data = path.read_bytes()
+        version, length = struct.unpack("<II", data[8:16])
+        header = json.loads(data[16:16 + length])
+        header["config"]["num_layers"] = 2 ** 31
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<II", version, len(blob)) + blob
+                         + data[16 + length:])
+        argv = [command, "--run", str(run)]
+        if command == "transcribe":
+            write_wav(tmp_path / "hush.wav", AudioBuffer(np.zeros(16000), 16000))
+            argv.append(str(tmp_path / "hush.wav"))
+        with memory_capped():
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: truncated or garbled (its model config has ")
+        assert err.count("\n") == 1

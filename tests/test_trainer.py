@@ -362,6 +362,17 @@ class TestTrainLoop:
             self.run(tmp_path)
         assert (tmp_path / "run" / "checkpoint.bin").exists() == (nan_from_call > 1)
 
+    def test_overflow_is_divergence(self, tmp_path):
+        # a learning rate beyond float32 overflows the first update, which
+        # would otherwise leave a NaN checkpoint after a one-epoch run
+        rng = np.random.default_rng(42)
+        config = TrainConfig(batch_size=8, learning_rate=1e200, max_epochs=1, patience=1)
+        with pytest.raises(TrainingError, match=r"^training diverged \(overflow .*\) at "
+                                                r"epoch 1; no checkpoint was written$"):
+            train(synthetic_items(24, rng), synthetic_items(6, rng), small_params(8), config,
+                  run_dir_at(tmp_path / "run"), ("<blank>", "a", "b"))
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_empty_split_rejected(self, tmp_path):
         with pytest.raises(DataError):
             train([], items(3, dims=6), small_params(4), TrainConfig(), tmp_path,
