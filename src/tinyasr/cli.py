@@ -109,8 +109,7 @@ def _cmd_transcribe(args) -> int:
             print(f"{path}\t{text}")
         else:
             failed += 1
-            named = error if path in error else f"{path}: {error}"
-            print(f"error: {named}", file=sys.stderr)
+            print(f"error: {error}", file=sys.stderr)
     return 2 if failed else 0
 
 

@@ -57,11 +57,9 @@ def _extended_batch(targets):
 
 
 def reverse_padded(x, lengths):
-    """Reverse each row within its true length; padding stays at the tail."""
-    out = np.zeros_like(x)
-    for b, length in enumerate(lengths):
-        out[b, :length] = x[b, length - 1::-1]
-    return out
+    """Reverse each row within its true length; padded slots keep their values."""
+    t, lengths = np.arange(x.shape[1]), np.asarray(lengths)[:, None]
+    return x[np.arange(len(x))[:, None], np.where(t < lengths, lengths - 1 - t, t)]
 
 
 def _log_alpha(lp, ext, frames, ext_lengths):
@@ -211,7 +209,7 @@ def beam_decode(logits, beam_width: int) -> list:
         beams = dict(ranked[:beam_width])
 
     labels = list(next(iter(beams)))  # beams stay in rank order
-    greedy = collapse(lp.argmax(axis=1).tolist())
+    greedy = greedy_decode(logits)
     if _sequence_log_prob(lp, greedy) > _sequence_log_prob(lp, labels):
         return greedy
     return labels

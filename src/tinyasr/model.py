@@ -167,8 +167,7 @@ def _layer_forward(params, layer, x, lengths, starts):
         hs[:, s:, t + 1] = go * np.tanh(cs[:, s:, t + 1])
 
     out = np.concatenate([hs[0, :, 1:], reverse_padded(hs[1, :, 1:], lengths)], axis=2)
-    for b_idx, length in enumerate(lengths):
-        out[b_idx, length:] = 0.0
+    out[np.arange(T) >= np.asarray(lengths)[:, None]] = 0.0
     return out, (xs, gates, cs, hs)
 
 

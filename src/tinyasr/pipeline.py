@@ -75,24 +75,27 @@ def emit_results_table(rows) -> str:
 
 
 def build_items(records, unit_map, vocab, audio_root, sample_rate):
-    """Slice audio, extract features, and encode targets for each record;
-    a span or sample rate that does not fit its audio is a DataError naming
-    the utterance and its file."""
+    """Slice audio, extract features, and encode targets for each record,
+    in input order, reading one WAV at a time; a span or sample rate that does
+    not fit its audio is a DataError naming the utterance and its file."""
     audio_root = Path(audio_root)
-    buffers = {}
-    items = []
+    by_file = {}
     for record in records:
-        path = audio_root / record.audio
-        if record.audio not in buffers:
-            buffers[record.audio] = read_wav(path)
-        try:
-            clip = slice_audio(buffers[record.audio], record.start_s, record.end_s)
-            matrix = extract_features(clip, sample_rate)
-        except DataError as exc:
-            raise DataError(f"utterance '{record.id}' in {path}: {exc}") from exc
-        target = vocab.encode(unit_map[record.id], record.id)
-        items.append(TrainItem(id=record.id, features=matrix.frames, target=target))
-    return items
+        by_file.setdefault(record.audio, []).append(record)
+    items = {}
+    for audio, file_records in by_file.items():
+        path = audio_root / audio
+        buffer = read_wav(path)
+        for record in file_records:
+            try:
+                clip = slice_audio(buffer, record.start_s, record.end_s)
+                matrix = extract_features(clip, sample_rate)
+            except DataError as exc:
+                raise DataError(f"utterance '{record.id}' in {path}: {exc}") from exc
+            target = vocab.encode(unit_map[record.id], record.id)
+            items[record.id] = TrainItem(id=record.id, features=matrix.frames, target=target)
+        del buffer  # before the next file is read
+    return [items[record.id] for record in records]
 
 
 @dataclass
@@ -181,7 +184,7 @@ def run_experiment(config: ExperimentConfig, corpus: _Corpus, items, train_recor
                        corpus.vocab.labels)
 
     with _stage("evaluate"):
-        params, vocab = _load_run_model(run_dir)
+        _, params, vocab = _open_run(run_dir)
         row, _ = _report_split(run_dir, run_info, "test", params, vocab, test_items,
                                {r.id: r for r in corpus.records})
     run_info["results"] = {
@@ -234,9 +237,10 @@ def _write_run_info(run_dir: Path, info: dict) -> None:
     )
 
 
-def _read_run_info(run_dir) -> dict:
-    """The run record of a run directory, checked for every key that
-    evaluate and transcribe read and for the type of its value."""
+def _open_run(run_dir):
+    """A finished run's record, parameters and label vocabulary; the record
+    is checked for every key that evaluate and transcribe read and for the
+    type of its value, the model for the front end's feature dimensions."""
     path = Path(run_dir) / RUN_FILE
     if not path.exists():
         raise DataError(f"not a run directory (no {RUN_FILE}): {run_dir}")
@@ -258,17 +262,12 @@ def _read_run_info(run_dir) -> dict:
             raise ConfigError("splits must list utterance ids")
     except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: not a run record ({exc})") from exc
-    return info
-
-
-def _load_run_model(run_dir):
-    """A finished run's parameters and label vocabulary."""
     path = Path(run_dir) / "checkpoint.bin"
     params, vocab = load_checkpoint(path)
     if params.config.input_dim != DIMS:
         raise DataError(f"{path}: the model takes {params.config.input_dim} feature "
                         f"dimensions; the front end gives {DIMS}")
-    return params, vocab
+    return info, params, vocab
 
 
 def _load_split(run_dir, run_info, split, vocab):
@@ -326,8 +325,7 @@ def evaluate_run(run_dir, split="test", beam_width=None):
     """Re-evaluate a finished run from its directory alone, decoding
     greedily or, when beam_width is set, by prefix beam search."""
     run_dir = Path(run_dir)
-    run_info = _read_run_info(run_dir)
-    params, vocab = _load_run_model(run_dir)
+    run_info, params, vocab = _open_run(run_dir)
     items, records = _load_split(run_dir, run_info, split, vocab)
     return _report_split(run_dir, run_info, split, params, vocab, items, records,
                          beam_width)
@@ -364,13 +362,12 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
     call.
 
     Returns [(path, text_or_None, error_or_None)] in input order; a file
-    that fails does not stop the others. Output text is written next to
-    each input, with the suffix .txt; a file whose transcript would
-    overwrite an input or another input's transcript fails.
+    that fails, named first in its error, does not stop the others. Output
+    text is written next to each input, with the suffix .txt; a file whose
+    transcript would overwrite an input or another input's transcript fails.
     """
     run_dir = Path(run_dir)
-    sample_rate = _read_run_info(run_dir)["sample_rate"]
-    params, vocab = _load_run_model(run_dir)
+    run_info, params, vocab = _open_run(run_dir)
 
     wav_paths = [Path(wav_path) for wav_path in wav_paths]
     # the files the inputs and transcripts are; realpath passes over symlink loops
@@ -386,8 +383,12 @@ def transcribe_files(run_dir, wav_paths, beam_width=None):
                 raise DataError(f"{wav_path}: its transcript {wav_path.with_suffix('.txt')} "
                                 "would overwrite an input or another input's transcript")
             if not wav_path.exists():
-                raise DataError(f"file not found: {wav_path}")
-            frames[index] = extract_features(read_wav(wav_path), sample_rate).frames
+                raise DataError(f"{wav_path}: file not found")
+            audio = read_wav(wav_path)  # whose errors start with the path
+            try:
+                frames[index] = extract_features(audio, run_info["sample_rate"]).frames
+            except DataError as exc:
+                raise DataError(f"{wav_path}: {exc}") from exc
         except DataError as exc:
             errors[index] = str(exc)
     decoded = dict(zip(frames, decode(params, list(frames.values()), beam_width)))

@@ -101,8 +101,6 @@ def check_feasible(items) -> None:
                 f"utterance '{item.id}': {item.num_frames} frames cannot emit "
                 f"{len(item.target)} labels (needs {need}); it cannot be trained"
             )
-        if not item.target:
-            raise DataError(f"utterance '{item.id}' has an empty target")
 
 
 def make_batches(items, batch_size: int, rng=None):

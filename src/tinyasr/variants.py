@@ -242,12 +242,15 @@ def variant_units(record, variant, g2p=None, alignments=None,
 
 
 def corpus_units(records, variant, paths, gap_threshold) -> dict:
-    """Each record's label units under the variant. paths maps config keys
-    to rule files; only those the variant reads are loaded."""
+    """Each record's label units under the variant; a record that gets no
+    labels is a DataError naming it, as no LER can score it. paths maps
+    config keys to rule files; only those the variant reads are loaded."""
     loaders = {"g2p_rules": G2PRuleSet.from_tsv, "alignments": load_alignments}
     rules = {key: loaders[key](paths[key]) for key in VARIANTS[variant]}
-    return {
-        record.id: variant_units(record, variant, rules.get("g2p_rules"),
-                                 rules.get("alignments"), gap_threshold)
-        for record in records
-    }
+    units = {}
+    for record in records:
+        units[record.id] = variant_units(record, variant, rules.get("g2p_rules"),
+                                         rules.get("alignments"), gap_threshold)
+        if not units[record.id]:
+            raise DataError(f"utterance '{record.id}' has no labels under variant '{variant}'")
+    return units

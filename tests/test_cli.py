@@ -3,9 +3,12 @@ import io
 import json
 import os
 import re
+import runpy
 import shutil
 import struct
+import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,11 +25,13 @@ from tinyasr import pipeline
 from tinyasr.audio import AudioBuffer, write_wav
 from tinyasr.cli import main
 from tinyasr.config import load_experiment_config, parse_experiment_config
+from tinyasr.corpus import UtteranceRecord
 from tinyasr.errors import ConfigError
 from tinyasr.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 from tinyasr.pipeline import ResultsRow, emit_results_table, evaluate_run
 from tinyasr.synthetic import generate_tone_corpus
 from tinyasr.training import rng_for
+from tinyasr.variants import build_vocabulary
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -144,6 +149,14 @@ def _repeat_first_id(manifest):
     rows = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
     rows.append({**rows[1], "id": rows[0]["id"]})
     manifest.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
+def _blank_transcript(manifest, utt_id):
+    """Empty the transcript of one utterance of a manifest."""
+    rows = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    manifest.write_text("".join(
+        json.dumps({**row, "transcript": "" if row["id"] == utt_id else row["transcript"]})
+        + "\n" for row in rows), encoding="utf-8")
 
 
 def _edit_checkpoint_header(edit):
@@ -496,6 +509,21 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--sizes", "4,8"]],
+                             ids=["train", "sweep"])
+    def test_label_less_test_utterance_exits_2_before_any_run(self, tone_corpus, tmp_path,
+                                                              capsys, command):
+        # only the test split holds it, which no training step reads
+        path, _ = self.first_rows_config(tone_corpus, tmp_path, 20)
+        config = load_experiment_config(path)
+        blank = pipeline._load_corpus(config).test[0].id
+        _blank_transcript(config.corpus, blank)
+        assert main([*command, "--config", str(path), "--fast"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage 'data': utterance '{blank}' has no labels under variant "
+            "'orig-no-spaces'\n")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("command,model,count", [
         (["train"], {"num_layers": 1, "hidden_units": 10 ** 7}, "800,010,000,000,004"),
         (["sweep", "--sizes", "4,8"], {"num_layers": 1, "hidden_units": 10 ** 7},
@@ -540,6 +568,24 @@ class TestExitCodes:
     def test_prepare_missing_dir_exits_2(self, tmp_path):
         assert main(["prepare", str(tmp_path / "nowhere"), "--out",
                      str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_prepare_eaf_without_its_wav_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "s.eaf").write_text(build_eaf([KEPT_ANNOTATION]), encoding="utf-8")
+        assert main(["prepare", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: no audio file for s.eaf (expected s.wav)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_prepare_manifest_line_without_its_audio_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "m.jsonl").write_text(json.dumps(
+            {"id": "u1", "audio": "gone.wav", "start_s": 0.0, "end_s": 1.0,
+             "transcript": "ej ku?pi", "speaker": "KP"}) + "\n", encoding="utf-8")
+        assert main(["prepare", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: audio file not found: {corpus / 'gone.wav'}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,named", [
@@ -605,6 +651,19 @@ GOLDEN_REJECTIONS = """\
 
 
 class TestPrepareCommand:
+    def test_synthetic_module_writes_a_corpus(self, tmp_path, monkeypatch, capsys):
+        # python -m tinyasr.synthetic, the README quick start's first command
+        monkeypatch.delitem(sys.modules, "tinyasr.synthetic")
+        monkeypatch.setattr(sys, "argv", ["synthetic", str(tmp_path / "tones"),
+                                          "--utterances", "3", "--seed", "11"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("tinyasr.synthetic", run_name="__main__")
+        assert exit_info.value.code == 0
+        manifest = tmp_path / "tones" / "utterances.jsonl"
+        assert capsys.readouterr().out == f"wrote 3 utterances; manifest at {manifest}\n"
+        assert len(manifest.read_text(encoding="utf-8").splitlines()) == 3
+        assert main(["prepare", str(tmp_path / "tones"), "--out", str(tmp_path / "out")]) == 0
+
     def test_golden_outputs_byte_for_byte(self, golden_corpus, tmp_path, capsys):
         out = tmp_path / "prepared"
         assert main(["prepare", str(golden_corpus), "--out", str(out)]) == 0
@@ -679,6 +738,28 @@ class TestTrainedRun:
         err = capsys.readouterr().err
         assert dropped in err
         assert "Traceback" not in err
+
+    def test_evaluate_label_less_utterance_exits_2_before_decoding(
+            self, trained_run, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        blank = json.loads((run / "run.json").read_text())["splits"]["test"][0]
+        _blank_transcript(run / "manifest.jsonl", blank)
+        monkeypatch.setattr(pipeline, "decode", None)  # decoding would raise TypeError
+        assert main(["evaluate", "--run", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: utterance '{blank}' has no labels under variant 'orig-no-spaces'\n")
+
+    def test_evaluate_split_listing_no_ids_exits_2(self, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run["run"], run)
+        info = json.loads((run / "run.json").read_text())
+        info["splits"]["dev"] = []
+        (run / "run.json").write_text(json.dumps(info))
+        (run / "report-dev.json").unlink(missing_ok=True)
+        assert main(["evaluate", "--run", str(run), "--split", "dev"]) == 2
+        assert capsys.readouterr().err == "error: split 'dev' is empty\n"
+        assert not (run / "report-dev.json").exists()
 
     def test_evaluate_command_exit_zero(self, trained_run, capsys):
         assert main(["evaluate", "--run", str(trained_run["run"]),
@@ -860,6 +941,18 @@ class TestTrainedRun:
         assert rc == 2
         assert "sample rate" in captured.err
         assert str(good) in captured.out
+
+    def test_transcribe_error_lines_start_with_the_file(self, trained_run, tmp_path,
+                                                        monkeypatch, capsys):
+        # the name "a" occurs in the message it fails with ("audio sample rate")
+        monkeypatch.chdir(tmp_path)
+        for name in ("a", "clip.wav"):
+            write_wav(tmp_path / name, AudioBuffer(np.zeros(8000), 8000))
+        assert main(["transcribe", "--run", str(trained_run["run"]), "a", "clip.wav"]) == 2
+        reason = "audio sample rate 8000 does not match the run's 16000"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: a: {reason} (resampling is unsupported)",
+            f"error: clip.wav: {reason} (resampling is unsupported)"]
 
     @staticmethod
     def _copy_wavs(trained_run, tmp_path, count):
@@ -1753,3 +1846,46 @@ class TestG2PRuleDefects:
             err = capsys.readouterr().err
             assert err.startswith(f"error: g2p.tsv line {lineno}: ")
             assert shown in err and err.count("\n") == 1
+
+
+class TestBuildItems:
+    """build_items over session WAVs of 30 s, two utterances each, the
+    sessions interleaved, as an ELAN corpus lists them."""
+
+    @staticmethod
+    def sessions(root, count):
+        for session in range(count):
+            noise = np.random.default_rng(session).normal(0.0, 0.1, 30 * 16000)
+            write_wav(root / f"s{session}.wav", AudioBuffer(noise, 16000))
+        return [UtteranceRecord(id=f"s{session}u{u}", audio=f"s{session}.wav",
+                                start_s=10.0 * u, end_s=10.0 * u + 1.0, transcript="a",
+                                speaker="x")
+                for u in range(2) for session in range(count)]
+
+    @staticmethod
+    def build(root, records):
+        return pipeline.build_items(records, {r.id: ["a"] for r in records},
+                                    build_vocabulary([["a"]]), root, 16000)
+
+    def test_each_wav_read_once_and_items_in_input_order(self, tmp_path, monkeypatch):
+        records = self.sessions(tmp_path, 3)
+        alone = [self.build(tmp_path, [record])[0] for record in records]
+        reads, read_wav = Counter(), pipeline.read_wav
+        monkeypatch.setattr(pipeline, "read_wav",
+                            lambda path: reads.update([path.name]) or read_wav(path))
+        items = self.build(tmp_path, records)
+        assert reads == {"s0.wav": 1, "s1.wav": 1, "s2.wav": 1}
+        assert [item.id for item in items] == [record.id for record in records]
+        for item, expected in zip(items, alone):
+            assert np.array_equal(item.features, expected.features)
+            assert item.target == expected.target
+
+    def test_holds_one_wav_at_a_time(self, tmp_path):
+        records = self.sessions(tmp_path, 4)
+        tracemalloc.start()
+        try:
+            self.build(tmp_path, records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 30 * 16000 * 8  # two sessions' samples as float64

@@ -14,6 +14,7 @@ from tinyasr.ctc import (
     greedy_decode,
     log_softmax,
     min_frames,
+    reverse_padded,
 )
 from tinyasr.errors import DataError
 
@@ -46,6 +47,18 @@ class TestCollapse:
 
     def test_adjacent_repeat_merges(self):
         assert collapse([1, 2, 2]) == [1, 2]
+
+
+class TestReversePadded:
+    @pytest.mark.parametrize("shape", [(4, 7), (4, 7, 3)], ids=["2d", "3d"])
+    def test_equals_the_row_loop_and_keeps_the_padding(self, shape):
+        x = np.random.default_rng(12).normal(size=shape)
+        lengths = [2, 5, 5, 7]
+        expected = x.copy()
+        for row, length in enumerate(lengths):
+            expected[row, :length] = x[row, length - 1::-1]
+        assert np.array_equal(reverse_padded(x, lengths), expected)
+        assert np.array_equal(reverse_padded(expected, lengths), x)
 
 
 class TestMinFrames:
@@ -252,6 +265,16 @@ class TestBeam:
             greedy_total = _sequence_log_prob(lp, greedy_decode(logits))
             decoded = beam_decode(logits, V + 1)
             assert _sequence_log_prob(lp, decoded) >= greedy_total - 1e-9
+
+    def test_width_one_falls_back_to_the_greedy_sequence(self, monkeypatch):
+        logits = np.array([[0.2, 1.0], [0.5, 2.8], [0.6, -0.3], [-0.9, -0.3], [-2.4, -2.2]])
+        lp = log_softmax(logits)
+        assert beam_decode(logits, 1) == greedy_decode(logits) == [1, 1]
+        assert _sequence_log_prob(lp, [1, 1]) > _sequence_log_prob(lp, [1])
+        # pruning alone keeps [1]: with every sequence scored alike, the
+        # fallback never fires
+        monkeypatch.setattr("tinyasr.ctc._sequence_log_prob", lambda lp, labels: 0.0)
+        assert beam_decode(logits, 1) == [1]
 
     def test_invalid_width(self):
         with pytest.raises(DataError):

@@ -331,8 +331,7 @@ class TestDecode:
     @pytest.mark.parametrize("beam_width", [None, 4], ids=["greedy", "beam"])
     def test_batched_labels_equal_one_at_a_time(self, trained_run, beam_width):
         run = trained_run["run"]
-        info = pipeline._read_run_info(run)
-        params, vocab = pipeline._load_run_model(run)
+        info, params, vocab = pipeline._open_run(run)
         items, _ = pipeline._load_split(run, info, "train", vocab)
         feature_list = [item.features for item in items]
         assert len(feature_list) > model.DECODE_BATCH

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +238,12 @@ class TestVariantUnits:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="unknown transcript variant"):
             variant_units(self.record(), "phoneme-soup")
+
+    def test_corpus_units_reject_an_utterance_without_labels(self):
+        records = [self.record(), replace(self.record(), id="hush", transcript=" ")]
+        with pytest.raises(DataError, match="^utterance 'hush' has no labels under "
+                                            "variant 'orig-no-spaces'$"):
+            corpus_units(records, "orig-no-spaces", {}, 0.15)
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_corpus_units_load_only_the_rule_files_the_variant_reads(
