@@ -5,13 +5,14 @@ backpropagation through time, in the dtype of the parameter vector:
 float32, as init_parameters and load_checkpoint give it. The kernels hold
 no dtype of their own, so float64 parameters run the same code in float64.
 The two directions of a layer run in one time loop, stacked on a leading
-axis of 2. A batch comes sorted by length, shortest first, and stays
-padded to the longest from the input to the logits, through the CTC loss
-and back; the backward direction reverses each row within its true
-length, so padding always sits at the processing tail. Each time step
-then runs only the rows still inside their length (at least two), a
-suffix of the batch shared by both directions, so padding costs next to
-no recurrence work and never touches valid frames, either way.
+axis of 2. A batch comes sorted by length, shortest first, and each time
+step runs only the rows still inside their length (at least two). Inside
+the stack the batch is packed time-major over just those rows, like
+PyTorch's PackedSequence, so a step's rows are one contiguous block and
+no array holds a frame that no step runs. The backward direction reverses
+each row within its length through one gather index. The logits come back
+padded to the longest row, as the CTC loss takes them, and its gradient
+goes back the same way; padding never touches valid frames, either way.
 """
 
 import json
@@ -22,7 +23,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ctc
-from .ctc import reverse_padded
 from .errors import ConfigError, DataError
 from .variants import LabelVocabulary
 
@@ -123,72 +123,80 @@ def _sigmoid(x):
 
 
 class ForwardCache:
-    """Everything the backward pass needs, tied to the parameters used.
+    """A batch's packed layout and all the backward pass needs, tied to the parameters used.
 
-    Row b holds the batch's utterance b, of lengths[b] frames, shortest
-    first, and step t ran rows starts[t]: (see forward_batch). Per layer,
-    a tuple (xs, gates, cs, hs) with a leading axis of 2 for the fwd and bwd
-    directions, each in its own processing order: the layer inputs
-    (2, B, T, D), the gate activations i, f, g, o (2, B, T, 4H), and the
-    cell and hidden states (2, B, T + 1, H). Slot 0 of cs and hs holds the
-    zero initial state; step t writes slot t + 1 of the rows it ran. A slot
-    no step wrote keeps the zero state in cs and hs, and in gates its input
-    projection alone."""
+    Row b holds utterance b, of lengths[b] frames, shortest first. Step t
+    runs rows s = starts[t]:, those inside their length but never fewer
+    than two (numpy multiplies one row by another path, which rounds
+    differently); an extra row runs on its padding, which is dropped. The
+    N slots hold step 0's rows, then step 1's, and so on: steps lists each
+    step's (s, lo, hi), its slots being lo:hi. frames[k] is slot k's index
+    among the B * T padded frames. order (2, N) lists the slots in each
+    direction's processing order, the bwd one reversing each row within
+    its length. outputs (N, 2) picks a layer's output from its stacked
+    states (2 * (B + N), H), or a zero state for an extra row.
 
-    def __init__(self, params, lengths, starts):
-        self.params = params
-        self.lengths = lengths
-        self.starts = starts
-        self.layers = []
-        self.top = None
+    Per layer, a tuple (xs, gates, cs, hs), fwd and bwd stacked on axis 0:
+    by slot, the inputs (2, N, D) and gate activations i, f, g, o
+    (2, N, 4H); the cell and hidden states (2, B + N, H), B zero initial
+    states and then the state after each slot, so a step reads the states
+    s + lo:s + hi and writes B + lo:B + hi. top is the last layer's output."""
+
+    def __init__(self, params, lengths):
+        B, T = len(lengths), lengths[-1]
+        starts = np.minimum(np.searchsorted(lengths, np.arange(T), side="right"), max(B - 2, 0))
+        ends = np.cumsum(B - starts)  # so row b's slot at step t is ends[t] - B + b
+        rows = np.concatenate([np.arange(s, B) for s in starts])
+        times, lasts = np.repeat(np.arange(T), B - starts), np.asarray(lengths)[rows] - 1
+        inside, N = times <= lasts, len(rows)
+        self.params, self.lengths, self.layers, self.top = params, lengths, [], None
+        self.steps = list(zip(starts.tolist(), (ends - B + starts).tolist(), ends.tolist()))
+        self.frames = rows * T + times
+        back = ends[np.where(inside, lasts - times, times)] - B + rows
+        self.order = np.stack([np.arange(N), back])
+        self.outputs = np.where(inside, self.order + [[B], [2 * B + N]], [[0], [B + N]]).T
 
 
-def _layer_forward(params, layer, x, lengths, starts):
-    """Both directions of one layer in a single time loop; step t runs rows
-    starts[t]: only. Returns the layer output (B, T, 2H), padded tails
-    zeroed, and its cache entry."""
+def _layer_forward(params, layer, x, cache):
+    """Both directions of one layer in a single time loop over the input x
+    (N, D), packed as the ForwardCache gives it. Returns the layer output
+    (N, 2H), zero in an extra row's slots, and its cache entry."""
     Wt = params[f"layer{layer}.W"].transpose(0, 2, 1)
     # a step's product with a transposed view of R runs about twice as slow
     Rt = np.ascontiguousarray(params[f"layer{layer}.R"].transpose(0, 2, 1))
     b = params[f"layer{layer}.b"][:, None]
-    B, T, D = x.shape
-    H = Rt.shape[1]
-    xs = np.stack([x, reverse_padded(x, lengths)])
+    N, B, H = len(x), len(cache.lengths), Rt.shape[1]
+    xs = x[cache.order]
 
-    gates = (xs.reshape(2, B * T, D) @ Wt).reshape(2, B, T, 4 * H)
-    cs = np.zeros((2, B, T + 1, H), gates.dtype)
-    hs = np.zeros((2, B, T + 1, H), gates.dtype)
-    for t, s in enumerate(starts):
-        z = gates[:, s:, t]
-        z[...] = z + hs[:, s:, t] @ Rt + b
+    gates = xs @ Wt
+    cs, hs = np.zeros((2, 2, B + N, H), gates.dtype)
+    for s, lo, hi in cache.steps:
+        z = gates[:, lo:hi]
+        z[...] = z + hs[:, s + lo:s + hi] @ Rt + b
         gi, gf, gg, go = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
         gi[...], gf[...], gg[...], go[...] = _sigmoid(gi), _sigmoid(gf), np.tanh(gg), _sigmoid(go)
-        cs[:, s:, t + 1] = gf * cs[:, s:, t] + gi * gg
-        hs[:, s:, t + 1] = go * np.tanh(cs[:, s:, t + 1])
+        cs[:, B + lo:B + hi] = gf * cs[:, s + lo:s + hi] + gi * gg
+        hs[:, B + lo:B + hi] = go * np.tanh(cs[:, B + lo:B + hi])
 
-    out = np.concatenate([hs[0, :, 1:], reverse_padded(hs[1, :, 1:], lengths)], axis=2)
-    out[np.arange(T) >= np.asarray(lengths)[:, None]] = 0.0
+    out = hs.reshape(-1, H)[cache.outputs].reshape(N, 2 * H)
     return out, (xs, gates, cs, hs)
 
 
 def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
     """Run the stack over a batch of (T_b, D) arrays, sorted shortest first.
 
-    The features are padded into the parameters' dtype, which the logits
-    and the cache keep. Returns (logits (B, T, V+1), cache): row b holds
-    utterance b's logits in its first T_b frames, T being the longest; a
-    frame past them holds the projection bias. The cache, which
+    The features are packed (see ForwardCache) in the parameters' dtype,
+    which the logits and the cache keep. Returns (logits (B, T, V+1),
+    cache): row b holds utterance b's logits in its first T_b frames, T
+    being the longest, and the projection bias past them. The cache, which
     backward_batch reads, holds every layer's arrays; without keep_cache it
     is None and each layer's arrays are freed once the next layer has its
-    input.
-    """
+    input."""
     config = params.config
     for feats in feature_list:
         if feats.ndim != 2 or feats.shape[1] != config.input_dim:
-            raise DataError(
-                f"feature dimension {feats.shape} does not match model input_dim "
-                f"{config.input_dim}"
-            )
+            raise DataError(f"feature dimension {feats.shape} does not match model "
+                            f"input_dim {config.input_dim}")
         if feats.shape[0] < 1:
             raise DataError("empty feature matrix")
 
@@ -196,25 +204,23 @@ def forward_batch(params: ModelParameters, feature_list, keep_cache=True):
     if lengths != sorted(lengths):
         raise ValueError("forward_batch takes a batch sorted shortest first")
     B, T = len(lengths), lengths[-1]
-    x = np.zeros((B, T, config.input_dim), params.flat.dtype)
+    x = np.zeros((B * T, config.input_dim), params.flat.dtype)
     for row, feats in enumerate(feature_list):
-        x[row, :lengths[row]] = feats
-    # step t runs rows starts[t]:, those still inside their length, but never
-    # fewer than two: numpy multiplies a single row by another path, which
-    # rounds differently. An extra row runs on its padding, which is dropped.
-    starts = np.minimum(np.searchsorted(lengths, np.arange(T), side="right"),
-                        max(B - 2, 0)).tolist()
+        x[row * T:row * T + lengths[row]] = feats
 
-    cache = ForwardCache(params, lengths, starts) if keep_cache else None
+    cache = ForwardCache(params, lengths)
+    x = x[cache.frames]
     for layer in range(config.num_layers):
-        x, layer_cache = _layer_forward(params, layer, x, lengths, starts)
-        if cache is not None:
+        x, layer_cache = _layer_forward(params, layer, x, cache)
+        if keep_cache:
             cache.layers.append(layer_cache)
         del layer_cache  # else it would live on through the next layer's call
 
-    if cache is not None:
-        cache.top = x
-    return x @ params["proj.W"].T + params["proj.b"], cache
+    # numpy runs a stacked product one utterance at a time; a packed one may round otherwise
+    cache.top, top = x, np.zeros((B * T, x.shape[1]), x.dtype)
+    top[cache.frames] = x
+    logits = top.reshape(B, T, -1) @ params["proj.W"].T + params["proj.b"]
+    return logits, cache if keep_cache else None
 
 
 def decode(params: ModelParameters, feature_list, beam_width=None):
@@ -228,7 +234,7 @@ def decode(params: ModelParameters, feature_list, beam_width=None):
     among equal counts, and cut into batches of at most DECODE_BATCH
     utterances and DECODE_FRAMES padded frames (count times longest); an
     utterance longer than that runs alone. No cache is kept, so memory
-    peaks at one layer's arrays for one batch."""
+    peaks at one layer's packed arrays for one batch."""
     lengths = [len(feats) for feats in feature_list]
     batches = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
@@ -249,68 +255,62 @@ def decode(params: ModelParameters, feature_list, beam_width=None):
     return decoded
 
 
-def _layer_backward(params, layer, layer_cache, d_out, lengths, starts, grads):
+def _layer_backward(params, layer, layer_cache, d_out, cache, grads):
     """Backpropagate both directions of one layer through time in a single
-    loop; writes the layer's gradients into grads, returns d(layer input).
-    Step t runs the rows its forward step ran, starts[t]:; the gate
-    gradients and carried state of the rows it skips stay exactly zero."""
+    loop, from the packed d(layer output) (N, 2H); writes the layer's
+    gradients into grads, returns d(layer input) (N, D). Each step runs the
+    rows its forward step ran; the carried state of the rows it skips stays
+    exactly zero."""
     R = params[f"layer{layer}.R"]
     xs, gates, cs, hs = layer_cache
-    _, B, T, D = xs.shape
-    H = R.shape[2]
-    dhs = np.stack([d_out[..., :H], reverse_padded(d_out[..., H:], lengths)])
+    N, B, H = len(d_out), len(cache.lengths), R.shape[2]
+    dhs = d_out.reshape(N, 2, H)[cache.order, [[0], [1]]]
 
-    dz = np.zeros_like(gates)
-    dh_next = np.zeros((2, B, H), gates.dtype)
-    dc_next = np.zeros((2, B, H), gates.dtype)
-    for t in range(T - 1, -1, -1):
-        s = starts[t]
-        g = gates[:, s:, t]
+    dz = np.empty_like(gates)
+    dh_next, dc_next = np.zeros((2, 2, B, H), gates.dtype)
+    for s, lo, hi in reversed(cache.steps):
+        g = gates[:, lo:hi]
         gi, gf, gg, go = g[..., :H], g[..., H:2 * H], g[..., 2 * H:3 * H], g[..., 3 * H:]
-        tc = np.tanh(cs[:, s:, t + 1])
-        dh = dhs[:, s:, t] + dh_next[:, s:]
+        tc = np.tanh(cs[:, B + lo:B + hi])
+        dh = dhs[:, lo:hi] + dh_next[:, s:]
         dc = dh * go * (1.0 - tc * tc) + dc_next[:, s:]
-        dzt = dz[:, s:, t]
+        dzt = dz[:, lo:hi]
         dzt[..., :H] = dc * gg * gi * (1.0 - gi)
-        dzt[..., H:2 * H] = dc * cs[:, s:, t] * gf * (1.0 - gf)
+        dzt[..., H:2 * H] = dc * cs[:, s + lo:s + hi] * gf * (1.0 - gf)
         dzt[..., 2 * H:3 * H] = dc * gi * (1.0 - gg * gg)
         dzt[..., 3 * H:] = dh * tc * go * (1.0 - go)
         dh_next[:, s:] = dzt @ R
         dc_next[:, s:] = dc * gf
 
-    dz = dz.reshape(2, B * T, 4 * H)
-    np.matmul(dz.transpose(0, 2, 1), xs.reshape(2, B * T, D), out=grads[f"layer{layer}.W"])
-    np.matmul(dz.transpose(0, 2, 1), hs[:, :, :-1].reshape(2, B * T, H),
-              out=grads[f"layer{layer}.R"])
+    np.matmul(dz.transpose(0, 2, 1), xs, out=grads[f"layer{layer}.W"])
+    before = np.concatenate([np.arange(s + lo, s + hi) for s, lo, hi in cache.steps])
+    np.matmul(dz.transpose(0, 2, 1), hs[:, before], out=grads[f"layer{layer}.R"])
     dz.sum(axis=1, out=grads[f"layer{layer}.b"])
-    dxs = (dz @ params[f"layer{layer}.W"]).reshape(2, B, T, D)
-    dx = dxs[0]
-    dx += reverse_padded(dxs[1], lengths)
-    return dx
+    dxs = dz @ params[f"layer{layer}.W"]
+    return dxs[0] + dxs[1, cache.order[1]]
 
 
 def backward_batch(params: ModelParameters, cache: ForwardCache, dlogits):
     """Exact gradients of a scalar loss w.r.t. every parameter, given the
     loss gradient on forward_batch's padded logits (B, T, V+1), exactly 0.0
     past each row's frames as ctc.ctc_loss gives it, as a ModelParameters
-    in the parameters' dtype; the gradient is cast to that dtype once."""
+    in the parameters' dtype; the gradient is gathered into the packed
+    slots and cast to that dtype once."""
     if cache.params is not params:
         raise ValueError("forward cache does not belong to these parameters")
     config = params.config
-    shape = cache.top.shape[:2] + (config.output_dim,)
+    shape = (len(cache.lengths), cache.lengths[-1], config.output_dim)
     if dlogits.shape != shape:
         raise ValueError(f"logits gradient {dlogits.shape} does not match the batch's {shape}")
 
     grads = ModelParameters(config, np.zeros_like(params.flat))
-    dlogits = dlogits.astype(params.flat.dtype, copy=False)
-    flat_dl = dlogits.reshape(-1, config.output_dim)
-    np.matmul(flat_dl.T, cache.top.reshape(-1, 2 * config.hidden_units), out=grads["proj.W"])
-    flat_dl.sum(axis=0, out=grads["proj.b"])
+    dl = np.asarray(dlogits.reshape(-1, config.output_dim)[cache.frames], params.flat.dtype)
+    np.matmul(dl.T, cache.top, out=grads["proj.W"])
+    dl.sum(axis=0, out=grads["proj.b"])
 
-    dx = dlogits @ params["proj.W"]
+    dx = dl @ params["proj.W"]
     for layer in range(config.num_layers - 1, -1, -1):
-        dx = _layer_backward(params, layer, cache.layers[layer], dx, cache.lengths,
-                             cache.starts, grads)
+        dx = _layer_backward(params, layer, cache.layers[layer], dx, cache, grads)
     return grads
 
 

@@ -125,29 +125,42 @@ class AdamState:
 
 
 def clip_global_norm(grads: ModelParameters):
-    """The gradient vector scaled so its L2 norm is at most GRAD_CLIP_NORM,
-    and the norm before scaling."""
+    """A fresh copy of the gradient vector, scaled so its L2 norm is at most
+    GRAD_CLIP_NORM, and the norm before scaling."""
     if not np.isfinite(grads.flat).all():
         name = next(n for n, grad in grads.tensors.items() if not np.isfinite(grad).all())
         raise TrainingError(f"non-finite gradient in tensor '{name}'")
     norm = np.sqrt(np.sum(grads.flat * grads.flat))
     if norm > GRAD_CLIP_NORM:
         return grads.flat * (GRAD_CLIP_NORM / norm), norm
-    return grads.flat, norm
+    return grads.flat.copy(), norm
 
 
 def adam_step(params: ModelParameters, grads, state: AdamState, config: TrainConfig):
     """One Adam update with bias correction, clipping applied first.
     Returns fresh parameter and state objects (inputs are not mutated) and
-    the gradient norm before clipping."""
+    the gradient norm before clipping.
+
+    It allocates four vectors: the clipped gradient, scratch once both
+    moments have read it, the two moments and the new parameters. Each
+    operation rounds as in m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+    and flat - lr m_hat / (sqrt(v_hat) + eps), so the bits are theirs."""
     g, norm = clip_global_norm(grads)
     t = state.step + 1
     b1, b2 = ADAM_BETAS
-    m = b1 * state.m + (1 - b1) * g
-    v = b2 * state.v + (1 - b2) * g * g
-    m_hat = m / (1 - b1 ** t)
-    v_hat = v / (1 - b2 ** t)
-    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    m = np.multiply(g, 1 - b1)
+    v = np.multiply(g, 1 - b2)
+    v *= g
+    scratch = g
+    m += np.multiply(state.m, b1, out=scratch)
+    v += np.multiply(state.v, b2, out=scratch)
+    np.divide(v, 1 - b2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPSILON
+    flat = np.divide(m, 1 - b1 ** t)
+    flat *= config.learning_rate
+    flat /= scratch
+    np.subtract(params.flat, flat, out=flat)
     return ModelParameters(params.config, flat), AdamState(t, m, v), norm
 
 

@@ -10,7 +10,7 @@ from conftest import memory_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyasr import model, pipeline
+from tinyasr import ctc, model, pipeline
 from tinyasr.audio import AudioBuffer, write_wav
 from tinyasr.cli import main
 from tinyasr.errors import ConfigError, DataError
@@ -429,6 +429,28 @@ class TestBackward:
             summed.flat += backward_batch(params, cache1, w[None]).flat
         for name in summed.tensors:
             assert np.allclose(summed[name], batched[name], atol=1e-10), name
+
+    def test_step_memory_follows_the_real_frames(self):
+        # 15 utterances of 20 frames and one of 400: 700 frames, padded to
+        # 6400. Forward, CTC loss and backward stay under five times the
+        # layer arrays of the 700 real frames; padded arrays would not.
+        config = ModelConfig(input_dim=10, vocab_size=4, num_layers=2, hidden_units=32)
+        params = init_parameters(config, 0)
+        rng = np.random.default_rng(23)
+        lengths = [20] * 15 + [400]
+        feats = [rng.normal(size=(t, config.input_dim)) for t in lengths]
+        H = config.hidden_units
+        # per frame and direction: the layer's input, 4 gates, cell and hidden state
+        frame_bytes = 4 * 2 * (config.input_dim + 6 * H + (config.num_layers - 1) * 8 * H)
+        tracemalloc.start()
+        try:
+            logits, cache = forward_batch(params, feats)
+            _, grad = ctc.ctc_loss(logits, lengths, [[1, 2, 1]] * len(lengths))
+            backward_batch(params, cache, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * sum(lengths) * frame_bytes
 
     def test_mismatched_cache_rejected(self):
         config = ModelConfig(input_dim=3, vocab_size=2, num_layers=1, hidden_units=4)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,25 @@ class TestAdam:
             grads = ModelParameters(params.config, rng.normal(size=params.flat.size))
             current, state, _ = adam_step(current, grads, state, config)
         assert np.array_equal(current.flat, params.flat)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0], ids=["unclipped", "clipped"])
+    def test_allocates_four_vectors(self, scale):
+        # the clipped gradient, which turns scratch, both moments and the
+        # new parameters; no elementwise temporary of the vector's size
+        params = init_parameters(
+            ModelConfig(input_dim=20, vocab_size=5, num_layers=2, hidden_units=64), 0)
+        rng = np.random.default_rng(6)
+        grads = ModelParameters(
+            params.config, scale * rng.normal(size=params.flat.size).astype(np.float32))
+        assert (clip_global_norm(grads)[1] > GRAD_CLIP_NORM) == (scale == 1.0)
+        _, state, _ = adam_step(params, grads, AdamState(), self.config())
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, self.config())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * params.flat.nbytes
 
 
 class TestTrainConfig:
